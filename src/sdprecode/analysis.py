@@ -90,15 +90,15 @@ def _phase_step(spacing: float, angle: float) -> float:
     return 2.0 * math.pi * spacing * math.sin(angle)
 
 
-def noise_variance_single(gain, angle, power, noise_var, spacing) -> float:
+def noise_variance_single(gain, angle, power, noise_var, spacing):
     """Large-array variance of quantization-plus-thermal noise at one user.
 
     ``(4|a|^2 P / 3) sin^2(pi (d/lambda) sin(theta)) + sigma_v^2``; grows
     with |angle|, shrinks with antenna spacing, and does not depend on the
-    antenna count.
+    antenna count.  Batched: array arguments broadcast.
     """
-    s = math.sin(math.pi * spacing * math.sin(angle))
-    return (4.0 * abs(gain) ** 2 * power / 3.0) * s * s + noise_var
+    s = np.sin(math.pi * spacing * np.sin(angle))
+    return (4.0 * np.abs(gain) ** 2 * power / 3.0) * s * s + noise_var
 
 
 def noise_variance_single_exact(gain, angle, power, noise_var, spacing,
@@ -262,16 +262,6 @@ class ZfSnrBound:
     worst_user: int
 
 
-def _scene_angles_gains(scene: MultiUserScene):
-    angles, gains = [], []
-    for ch in scene.channels:
-        if not isinstance(ch, SinglePathChannel):
-            raise TypeError("the zero-forcing bound needs single-path channels")
-        angles.append(ch.angle)
-        gains.append(ch.gain)
-    return np.array(angles), np.array(gains, dtype=complex)
-
-
 def digital_sinc(n: int, phi):
     """Normalized array correlation ``sin(N phi) / (N sin(phi))``.
 
@@ -297,7 +287,7 @@ def zf_snr_lower_bound(scene: MultiUserScene) -> ZfSnrBound:
     Also reports the smallest eigenvalue of R and the worst pairwise
     steering correlation rho, which sandwich ``1 >= lam_min >= 1 - (K-1) rho``.
     """
-    angles, gains = _scene_angles_gains(scene)
+    angles, gains = scene.single_path_arrays()
     geom = scene.geometry
     n, k_users = geom.n_antennas, scene.n_users
     a = steering_matrix(geom, angles)
@@ -313,12 +303,9 @@ def zf_snr_lower_bound(scene: MultiUserScene) -> ZfSnrBound:
     else:
         rho = 0.0
 
-    sigma_w = np.array([
-        noise_variance_for_channel(ch, scene.total_power,
-                                   scene.noise_variance,
-                                   geom.spacing_over_wavelength, n)
-        for ch in scene.channels
-    ])
+    sigma_w = noise_variance_single(gains, angles, scene.total_power,
+                                    scene.noise_variance,
+                                    geom.spacing_over_wavelength)
     ratio = np.sqrt(sigma_w) / np.abs(gains)
     worst = int(np.argmax(ratio))
     bound = (scene.total_power * n * abs(gains[worst]) ** 2 * lam_min ** 2
@@ -329,15 +316,12 @@ def zf_snr_lower_bound(scene: MultiUserScene) -> ZfSnrBound:
 def zf_snr_orthogonal_bound(scene: MultiUserScene) -> float:
     """Tighter floor ``P N |a_k|^2 / (2 K sigma_{w,k}^2)``, valid for
     mutually orthogonal steering vectors (the large-array regime)."""
-    angles, gains = _scene_angles_gains(scene)
+    angles, gains = scene.single_path_arrays()
     geom = scene.geometry
     n, k_users = geom.n_antennas, scene.n_users
-    sigma_w = np.array([
-        noise_variance_for_channel(ch, scene.total_power,
-                                   scene.noise_variance,
-                                   geom.spacing_over_wavelength, n)
-        for ch in scene.channels
-    ])
+    sigma_w = noise_variance_single(gains, angles, scene.total_power,
+                                    scene.noise_variance,
+                                    geom.spacing_over_wavelength)
     ratio = np.sqrt(sigma_w) / np.abs(gains)
     worst = int(np.argmax(ratio))
     return (scene.total_power * n * abs(gains[worst]) ** 2

@@ -170,6 +170,19 @@ class MultiUserScene:
     def n_users(self) -> int:
         return len(self.channels)
 
+    def single_path_arrays(self):
+        """Departure angles and complex gains of an all-single-path scene.
+
+        Raises TypeError when a user has another channel kind and ValueError
+        when a gain is zero, since the zero-forcing designs divide by it.
+        """
+        if not all(isinstance(ch, SinglePathChannel) for ch in self.channels):
+            raise TypeError("zero-forcing needs single-path channels")
+        gains = np.array([ch.gain for ch in self.channels], dtype=complex)
+        if np.any(gains == 0):
+            raise ValueError("channel gains must be nonzero")
+        return np.array([ch.angle for ch in self.channels]), gains
+
 
 def array_response(geometry: ArrayGeometry, angle: float) -> np.ndarray:
     """Phase ramp across the array for a departure angle.

@@ -145,7 +145,7 @@ def _cmd_solve(cfg: SimConfig, args, out_dir: Path, config_path) -> int:
         raise ConfigError("config.scheme: solve needs slp_primal or slp_dual")
     scene, symbols = engine.build_solve_instance(cfg)
     solver = "primal" if cfg.scheme == "slp_primal" else "dual"
-    params = _primal_params(cfg) if solver == "primal" else _dual_params(cfg)
+    params = cfg.solver.apg_params(solver)
 
     t0 = time.perf_counter()
     out = precoder.slp_psk(scene, symbols, cfg.constellation_order,
@@ -185,19 +185,6 @@ def _cmd_solve(cfg: SimConfig, args, out_dir: Path, config_path) -> int:
               {"solver_nonconverged": 0 if meta["converged"] else 1,
                "exit_status": status})
     return status
-
-
-def _primal_params(cfg: SimConfig):
-    from .optim import ApgParams
-    return ApgParams(smoothing=cfg.solver.smoothing, tol=cfg.solver.tol,
-                     max_iters=cfg.solver.max_iters)
-
-
-def _dual_params(cfg: SimConfig):
-    from .optim import ApgParams
-    return ApgParams(regularization=cfg.solver.regularization,
-                     tol=cfg.solver.dual_tol,
-                     max_iters=cfg.solver.dual_max_iters)
 
 
 _COMMANDS = {

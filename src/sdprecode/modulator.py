@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -41,14 +41,17 @@ __all__ = [
 class DitherSpec:
     """Uniform dither on [-level, level], injected before the quantizer.
 
-    The generator is consumed in (antenna, rail) order, real rail first, so a
-    fixed seed reproduces the run exactly.  With dither the in-box guarantee
-    on each quantization-error rail widens from 1 to ``1 + level``, and the
+    ``seed`` is anything ``numpy.random.default_rng`` accepts; a
+    ``Generator`` is used as is and advances.  Draws are trial-major: batch
+    axes first, then antenna, then rail (real first), so a fixed seed
+    reproduces the run exactly and a longer batch leaves the dither of its
+    earlier runs unchanged.  With dither the in-box guarantee on each
+    quantization-error rail widens from 1 to ``1 + level``, and the
     integrator may legitimately reach ``2 + level``.
     """
 
     level: float
-    seed: Optional[int] = None
+    seed: Union[int, np.random.Generator, None] = None
 
     def __post_init__(self):
         if self.level < 0:
@@ -91,16 +94,22 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
     if xbar.ndim < 1 or xbar.shape[0] < 1:
         raise ValueError("xbar must have at least one antenna entry")
     n_ant = xbar.shape[0]
-    tail = xbar.shape[1:]
+    shape, tail = xbar.shape, xbar.shape[1:]
 
     fb = np.asarray(feedback, dtype=complex)
     if fb.ndim == 0:
         fb = np.broadcast_to(fb, (n_ant,))
+    if len(tail) > 1 and fb.ndim == 1:
+        # Batch axes run as one: each step below is a few numpy calls, and
+        # every call costs less on 1-D rows than on n-D ones.
+        xbar = xbar.reshape(n_ant, -1)
+        if dither is not None:
+            dither = dither.reshape(n_ant, 2, -1)
 
     b = np.empty_like(xbar)
     x = np.empty_like(xbar)
-    b_prev = np.zeros(tail, dtype=complex)
-    x_prev = np.zeros(tail, dtype=complex)
+    b_prev = np.zeros(xbar.shape[1:], dtype=complex)
+    x_prev = np.zeros(xbar.shape[1:], dtype=complex)
     for n in range(n_ant):
         f = fb[n]
         bn = f * b_prev + (xbar[n] - f * x_prev)
@@ -116,14 +125,15 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
         x_prev = xn
 
     rail_peak = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=0)
+    rail_peak = rail_peak.reshape(tail)
     overloaded = rail_peak > overload_limit
     if tail == ():
         overloaded = bool(overloaded)
         rail_peak = float(rail_peak)
     return ModulationResult(
-        output=x,
-        quant_error=x - b,
-        integrator_trace=b,
+        output=x.reshape(shape),
+        quant_error=(x - b).reshape(shape),
+        integrator_trace=b.reshape(shape),
         overloaded=overloaded,
         peak_integrator=rail_peak,
     )
@@ -146,7 +156,8 @@ def sd_dithered(xbar, dither: DitherSpec) -> ModulationResult:
     xbar = np.asarray(xbar, dtype=complex)
     rng = np.random.default_rng(dither.seed)
     u = rng.uniform(-dither.level, dither.level,
-                    size=(xbar.shape[0], 2) + xbar.shape[1:])
+                    size=xbar.shape[1:] + (xbar.shape[0], 2))
+    u = np.moveaxis(u, (-2, -1), (0, 1))
     return _run(xbar, 1.0, dither=u, overload_limit=2.0 + dither.level)
 
 

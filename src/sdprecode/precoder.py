@@ -6,16 +6,23 @@ declared per-rail amplitude bound (a scalar, or one bound per antenna for the
 channel-matched scheme) and whose ``gains`` give the noiseless receive
 amplitude per user: with transmit scaling ``sqrt(P/2N)``, user i sees
 ``sqrt(P/2N) * gains[i] * s_i`` plus noise when interference is nulled.
+
+Array layout: the ``*_arrays`` designs and :func:`mrt_generalized` take plain
+arrays and are batched over leading axes of their inputs.  ``xbar`` puts the
+antenna axis first and the batch axes after it, the layout the modulators
+consume; ``gains`` and per-instance metadata carry the batch axes first and
+the user axis last.  Block designs end in a symbol-time axis, so one scene's
+``(K, T)`` block gives ``xbar`` of shape ``(N, T)``.  The channel- and
+scene-object functions unpack their objects and call the same array code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import analysis, modulator, optim
 from .channel import (
@@ -23,7 +30,6 @@ from .channel import (
     CanonicalGains,
     MultiUserScene,
     SinglePathChannel,
-    array_response,
     realize_channel,
     steering_matrix,
 )
@@ -31,18 +37,20 @@ from .channel import (
 __all__ = [
     "PrecodeOutput",
     "iq_inf_norm",
+    "mrt_arrays",
     "mrt_single",
     "mrt_angle_steered",
     "mrt_generalized",
+    "zf_arrays",
     "zf_precode",
     "zf_precode_qam_block",
+    "nullspace_zf_arrays",
     "nullspace_zf",
     "minimax_coefficients",
+    "slp_arrays",
     "slp_psk",
     "nullspace_basis",
 ]
-
-_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,28 +70,56 @@ def iq_inf_norm(x, axis=None):
     return np.maximum(np.abs(x.real), np.abs(x.imag)).max(axis=axis)
 
 
-def _unit_gain_direction(channel: SinglePathChannel) -> complex:
-    if channel.gain == 0:
+def _antenna_first(rows: np.ndarray, batch_ndim: int) -> np.ndarray:
+    """``(..., N)`` rows as ``(N, ...)``, padded to broadcast over the batch."""
+    rows = np.moveaxis(rows, -1, 0)
+    pad = (1,) * (batch_ndim + 1 - rows.ndim)
+    return rows.reshape(rows.shape[:1] + pad + rows.shape[1:])
+
+
+def _scalars(metadata: dict) -> dict:
+    """One instance's metadata with 0-d numpy values as Python scalars."""
+    return {k: v.item() if isinstance(v, (np.ndarray, np.generic))
+            and v.ndim == 0 else v for k, v in metadata.items()}
+
+
+def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
+               steered: bool = False) -> PrecodeOutput:
+    """Conjugate beamforming toward single-path users, batched.
+
+    ``angles``, ``gains`` and ``symbols`` broadcast to the batch shape.  All
+    antennas radiate the symbol with the conjugate phase ramp, so the receive
+    side sees a coherent gain of N times the channel magnitude.  With
+    ``steered`` the target backs off to the steered modulator's safe level
+    for the feedback rotation ``phi = 2 pi (d/lambda) sin(angle)``, which
+    nulls the shaped quantization error along the user's phase progression;
+    the plain design is the ``phi = 0`` case.  ``metadata`` carries ``phi``
+    (feed it to ``modulator.sd_angle_steered``) and ``amplitude``.
+    """
+    angles = np.asarray(angles, dtype=float)
+    gains = np.asarray(gains, dtype=complex)
+    if np.any(gains == 0):
         raise ValueError("channel gain must be nonzero")
-    return np.conj(channel.gain) / abs(channel.gain)
+    phi = (2.0 * np.pi * geometry.spacing_over_wavelength * np.sin(angles)
+           if steered else 0.0)
+    amp = modulator.no_overload_amplitude(phi)
+    u = amp * (np.conj(gains) / np.abs(gains)) * symbols
+    rows = steering_matrix(geometry, angles)
+    xbar = np.conj(_antenna_first(rows, max(np.ndim(u), angles.ndim))) * u
+    coherent = amp * geometry.n_antennas * np.abs(gains)
+    return PrecodeOutput(
+        xbar=xbar,
+        gains=np.broadcast_to(coherent, xbar.shape[1:])[..., None],
+        iq_bound=amp,
+        scheme="mrt_steered" if steered else "mrt",
+        metadata={"phi": phi, "amplitude": amp},
+    )
 
 
 def mrt_single(channel: SinglePathChannel, geometry: ArrayGeometry,
                symbol: complex) -> PrecodeOutput:
-    """Conjugate beamforming toward a single angular user.
-
-    All antennas radiate the symbol with the conjugate phase ramp, so the
-    receive side sees a coherent gain of N times the channel magnitude.
-    """
-    u = _unit_gain_direction(channel) * symbol
-    xbar = u * np.conj(array_response(geometry, channel.angle))
-    n = geometry.n_antennas
-    return PrecodeOutput(
-        xbar=xbar,
-        gains=np.array([n * abs(channel.gain)]),
-        iq_bound=np.float64(1.0),
-        scheme="mrt",
-    )
+    """Conjugate beamforming toward a single angular user (see :func:`mrt_arrays`)."""
+    return mrt_arrays(geometry, channel.angle, channel.gain, symbol)
 
 
 def mrt_angle_steered(channel: SinglePathChannel, geometry: ArrayGeometry,
@@ -94,31 +130,23 @@ def mrt_angle_steered(channel: SinglePathChannel, geometry: ArrayGeometry,
     that nulls the shaped quantization error along the user's phase
     progression; feed that ``phi`` to ``modulator.sd_angle_steered``.
     """
-    phi = 2.0 * math.pi * geometry.spacing_over_wavelength * math.sin(channel.angle)
-    amp = modulator.no_overload_amplitude(phi)
-    u = amp * _unit_gain_direction(channel) * symbol
-    xbar = u * np.conj(array_response(geometry, channel.angle))
-    n = geometry.n_antennas
-    out = PrecodeOutput(
-        xbar=xbar,
-        gains=np.array([amp * n * abs(channel.gain)]),
-        iq_bound=np.float64(amp),
-        scheme="mrt_steered",
-        metadata={"phi": phi, "amplitude": amp},
-    )
-    return out, phi
+    out = mrt_arrays(geometry, channel.angle, channel.gain, symbol,
+                     steered=True)
+    return out, out.metadata["phi"]
 
 
-def mrt_generalized(gains, symbol: complex,
+def mrt_generalized(gains, symbols,
                     amplitudes: Optional[np.ndarray] = None) -> PrecodeOutput:
     """Per-antenna matched weighting for an arbitrary (canonical) channel.
 
-    Each antenna transmits ``r_n * s`` with ``r_n`` proportional to the
-    conjugate gain, scaled so its dominant rail uses the antenna's safe
-    amplitude ``A_n``.  For symbols off the rail axes that scaling can spill
-    the weaker rail slightly past ``A_n``; offending antennas are rescaled by
-    ``max/(max+min)`` of their rail magnitudes (which restores the bound for
-    any unit-peak symbol) and reported in the metadata.
+    ``gains`` is ``(N, ...)`` with the antenna axis first and ``symbols``
+    broadcasts over its batch axes.  Each antenna transmits ``r_n * s`` with
+    ``r_n`` proportional to the conjugate gain, scaled so its dominant rail
+    uses the antenna's safe amplitude ``A_n``.  For symbols off the rail axes
+    that scaling can spill the weaker rail slightly past ``A_n``; offending
+    antennas are rescaled by ``max/(max+min)`` of their rail magnitudes
+    (which restores the bound for any unit-peak symbol) and flagged in the
+    metadata mask ``rescaled``.
 
     ``amplitudes`` overrides the safe profile, e.g. all ones for the
     unquantized benchmark or for deliberately overloaded runs.
@@ -129,7 +157,7 @@ def mrt_generalized(gains, symbol: complex,
         h = np.asarray(gains, dtype=complex)
     if np.any(h == 0):
         raise ValueError("channel gains must all be nonzero")
-    if abs(symbol) > 1.0 + 1e-12:
+    if np.any(np.abs(symbols) > 1.0 + 1e-12):
         raise ValueError("symbol magnitude must not exceed 1")
     if amplitudes is None:
         amp = modulator.no_overload_amplitudes_generalized(h)
@@ -138,35 +166,23 @@ def mrt_generalized(gains, symbol: complex,
 
     rail_max = np.maximum(np.abs(h.real), np.abs(h.imag))
     weights = amp * np.conj(h) / rail_max
-    xbar = weights * symbol
+    xbar = weights * symbols
 
     spill = np.maximum(np.abs(xbar.real), np.abs(xbar.imag)) > amp * (1.0 + 1e-12)
     if np.any(spill):
         rail_min = np.minimum(np.abs(h.real), np.abs(h.imag))
         shrink = rail_max / (rail_max + rail_min)
         weights = np.where(spill, weights * shrink, weights)
-        xbar = weights * symbol
+        xbar = weights * symbols
 
     coherent = (h * weights).real
     return PrecodeOutput(
         xbar=xbar,
-        gains=np.array([float(coherent.sum())]),
+        gains=coherent.sum(axis=0)[..., None],
         iq_bound=amp,
         scheme="mrt_generalized",
-        metadata={"rescaled_antennas": np.flatnonzero(spill)},
+        metadata={"rescaled": spill},
     )
-
-
-def _scene_single_path(scene: MultiUserScene):
-    angles, gains = [], []
-    for ch in scene.channels:
-        if not isinstance(ch, SinglePathChannel):
-            raise TypeError("zero-forcing needs single-path channels")
-        if ch.gain == 0:
-            raise ValueError("channel gains must be nonzero")
-        angles.append(ch.angle)
-        gains.append(ch.gain)
-    return np.array(angles), np.array(gains, dtype=complex)
 
 
 def _scene_noise_std(scene: MultiUserScene) -> np.ndarray:
@@ -183,81 +199,50 @@ def _scene_noise_std(scene: MultiUserScene) -> np.ndarray:
     return np.sqrt(var)
 
 
-def _zf_directions(scene: MultiUserScene, symbols: np.ndarray) -> np.ndarray:
-    """Interference-free directions: pseudo-inverse applied to the weighted
-    symbols, solved through the K x K steering Gram matrix (never N x N)."""
-    angles, gains = _scene_single_path(scene)
-    a = steering_matrix(scene.geometry, angles)
-    sigma_w = _scene_noise_std(scene)
-    weights = sigma_w * np.conj(gains) / np.abs(gains) ** 2
-    rhs = weights[:, None] * symbols if symbols.ndim == 2 else weights * symbols
-
-    n = scene.geometry.n_antennas
-    gram = (a @ a.conj().T) / n
+def _zf_targets(steering, gains, noise_std, symbols) -> np.ndarray:
+    """Interference-free directions ``(..., N, T)``: pseudo-inverse applied to
+    the weighted symbols, solved through the K x K steering Gram matrix
+    (never N x N)."""
+    n = steering.shape[-1]
+    weights = noise_std * np.conj(gains) / np.abs(gains) ** 2
+    rhs = weights[..., None] * symbols
+    adjoint = np.conj(steering).swapaxes(-1, -2)
+    gram = (steering @ adjoint) / n
     try:
-        factor = cho_factor(gram)
+        y = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("steering vectors are linearly dependent "
                          "(coincident user angles)") from exc
-    y = cho_solve(factor, rhs)
-    return (a.conj().T @ y) / n
+    return (adjoint @ y) / n
 
 
-def zf_precode(scene: MultiUserScene, symbols) -> PrecodeOutput:
-    """Zero-forcing with noise-weighted per-user gains and peak normalization.
-
-    Nulls inter-user interference and weights each user by its own noise
-    standard deviation so every user lands at the same effective SNR
-    ``P gamma^2 / (2N)``.
-    """
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.shape != (scene.n_users,):
-        raise ValueError("need one symbol per user")
-    v = _zf_directions(scene, symbols)
-    peak = float(iq_inf_norm(v))
-    if peak == 0:
-        raise ValueError("all-zero symbol vector leaves the normalization undefined")
+def _zf_output(v, peak, noise_std, scheme, **metadata) -> PrecodeOutput:
+    """Scale each block of directions ``(..., N, T)`` by its common peak."""
+    if np.any(peak == 0):
+        raise ValueError("all-zero symbol block leaves the normalization undefined")
     gamma = 1.0 / peak
-    sigma_w = _scene_noise_std(scene)
     return PrecodeOutput(
-        xbar=gamma * v,
-        gains=gamma * sigma_w,
+        xbar=np.moveaxis(gamma[..., None, None] * v, -2, 0),
+        gains=gamma[..., None] * noise_std,
         iq_bound=np.float64(1.0),
-        scheme="zf",
-        metadata={
-            "gamma": gamma,
-            "snr_eff": analysis.effective_snr_zf(
-                scene.total_power, scene.geometry.n_antennas, gamma),
-        },
+        scheme=scheme,
+        metadata={"gamma": gamma, **metadata},
     )
 
 
-def zf_precode_qam_block(scene: MultiUserScene, symbols) -> List[PrecodeOutput]:
-    """Zero-forcing over a symbol block with one shared normalization.
+def zf_arrays(steering, gains, noise_std, symbols) -> PrecodeOutput:
+    """Block zero-forcing with noise-weighted per-user gains, batched.
 
-    Amplitude decisions need the receive gain to be constant over the block,
-    so the whole block is scaled by the worst symbol time's peak.
+    ``steering`` is ``(..., K, N)`` (unit-modulus array responses), ``gains``
+    and ``noise_std`` are ``(..., K)`` and ``symbols`` is ``(..., K, T)``.
+    Nulls inter-user interference and weights each user by its own noise
+    standard deviation, so every user lands at the same effective SNR
+    ``P gamma^2 / (2N)``.  Amplitude decisions need the receive gain to be
+    constant over a block, so each block is scaled by its worst symbol
+    time's peak; per-symbol zero forcing is the ``T = 1`` case.
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.ndim != 2 or symbols.shape[0] != scene.n_users:
-        raise ValueError("symbols must be (K, T)")
-    v = _zf_directions(scene, symbols)
-    peak = float(iq_inf_norm(v))
-    if peak == 0:
-        raise ValueError("all-zero symbol block leaves the normalization undefined")
-    gamma = 1.0 / peak
-    sigma_w = _scene_noise_std(scene)
-    meta = {
-        "gamma": gamma,
-        "snr_eff": analysis.effective_snr_zf(
-            scene.total_power, scene.geometry.n_antennas, gamma),
-    }
-    return [
-        PrecodeOutput(xbar=gamma * v[:, t], gains=gamma * sigma_w,
-                      iq_bound=np.float64(1.0), scheme="zf_qam",
-                      metadata=dict(meta, t=t))
-        for t in range(symbols.shape[1])
-    ]
+    v = _zf_targets(steering, gains, noise_std, symbols)
+    return _zf_output(v, iq_inf_norm(v, axis=(-2, -1)), noise_std, "zf")
 
 
 def nullspace_basis(a: np.ndarray) -> np.ndarray:
@@ -269,46 +254,71 @@ def nullspace_basis(a: np.ndarray) -> np.ndarray:
     return vh[k:].conj().T
 
 
-def nullspace_zf(scene: MultiUserScene, symbols,
-                 params: Optional[optim.ApgParams] = None) -> List[PrecodeOutput]:
+def nullspace_zf_arrays(steering, gains, noise_std, symbols,
+                        params=None) -> PrecodeOutput:
     """Block zero-forcing with a nullspace component that shaves the peak.
 
-    Adding a vector from the steering nullspace leaves every receive signal
-    untouched but can cancel transmit-side amplitude, raising the common
-    scale ``gamma``.  Each symbol time solves an unconstrained peak-rail
-    minimization; the zero component is always a fallback, so the resulting
-    ``gamma`` never falls below the plain block zero-forcing one.
+    Shapes as in :func:`zf_arrays`.  Adding a vector from the steering
+    nullspace leaves every receive signal untouched but can cancel
+    transmit-side amplitude, raising the common scale ``gamma``.  Each symbol
+    time solves an unconstrained peak-rail minimization; the zero component
+    is always a fallback, so ``gamma`` never falls below the plain block
+    zero-forcing one.  ``params`` is an ``optim.ApgParams``, or a function
+    of a block's zero-forcing peak returning one; scenes are solved one at a
+    time because the solver scales its smoothing schedule to each block.
     """
+    v = _zf_targets(steering, gains, noise_std, symbols)
+    batch = v.shape[:-2]
+    shaved = np.empty_like(v)
+    peak = np.empty(batch)
+    converged = np.empty(batch, dtype=bool)
+    iterations = np.empty(batch, dtype=np.int64)
+    for i in np.ndindex(batch):
+        basis = nullspace_basis(steering[i])
+        p = params(float(iq_inf_norm(v[i]))) if callable(params) else params
+        xi, solve = optim.min_iq_inf_norm(v[i].T, basis, params=p)
+        shaved[i] = (v[i].T + xi @ basis.T).T
+        peak[i] = np.max(solve.value)
+        converged[i] = np.all(solve.converged)
+        iterations[i] = np.max(solve.iterations)
+    return _zf_output(shaved, peak, noise_std, "nullspace_zf",
+                      converged=converged, iterations=iterations)
+
+
+def _scene_block(design, scene: MultiUserScene, symbols, **kwargs):
+    """Run a zero-forcing array design on one scene's ``(K, T)`` block."""
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.ndim != 2 or symbols.shape[0] != scene.n_users:
         raise ValueError("symbols must be (K, T)")
-    v = _zf_directions(scene, symbols)            # (N, T)
-    angles, _ = _scene_single_path(scene)
-    a = steering_matrix(scene.geometry, angles)
-    basis = nullspace_basis(a)
+    angles, gains = scene.single_path_arrays()
+    out = design(steering_matrix(scene.geometry, angles), gains,
+                 _scene_noise_std(scene), symbols, **kwargs)
+    meta = _scalars(out.metadata)
+    meta["snr_eff"] = analysis.effective_snr_zf(
+        scene.total_power, scene.geometry.n_antennas, meta["gamma"])
+    return replace(out, metadata=meta)
 
-    xi, solve = optim.min_iq_inf_norm(v.T, basis, params=params)
-    shaved = v.T + xi @ basis.T                   # (T, N)
 
-    peak = float(np.max(solve.value))
-    if peak == 0:
-        raise ValueError("all-zero symbol block leaves the normalization undefined")
-    gamma = 1.0 / peak
-    sigma_w = _scene_noise_std(scene)
-    meta = {
-        "gamma": gamma,
-        "snr_eff": analysis.effective_snr_zf(
-            scene.total_power, scene.geometry.n_antennas, gamma),
-        "solver_converged": bool(np.all(solve.converged)),
-        "solver_iterations": int(np.max(solve.iterations)),
-        "solver_residual": float(np.max(solve.value)),
-    }
-    return [
-        PrecodeOutput(xbar=gamma * shaved[t], gains=gamma * sigma_w,
-                      iq_bound=np.float64(1.0), scheme="nullspace_zf",
-                      metadata=dict(meta, t=t))
-        for t in range(symbols.shape[1])
-    ]
+def zf_precode(scene: MultiUserScene, symbols) -> PrecodeOutput:
+    """Zero-forcing of one symbol per user (see :func:`zf_arrays`)."""
+    symbols = np.asarray(symbols, dtype=complex)
+    if symbols.shape != (scene.n_users,):
+        raise ValueError("need one symbol per user")
+    out = _scene_block(zf_arrays, scene, symbols[:, None])
+    return replace(out, xbar=out.xbar[:, 0])
+
+
+def zf_precode_qam_block(scene: MultiUserScene, symbols) -> PrecodeOutput:
+    """Zero-forcing over a ``(K, T)`` symbol block with one shared
+    normalization; ``xbar`` is ``(N, T)`` (see :func:`zf_arrays`)."""
+    return replace(_scene_block(zf_arrays, scene, symbols), scheme="zf_qam")
+
+
+def nullspace_zf(scene: MultiUserScene, symbols,
+                 params: Optional[optim.ApgParams] = None) -> PrecodeOutput:
+    """Nullspace-assisted block zero-forcing of one scene's ``(K, T)`` block;
+    ``xbar`` is ``(N, T)`` (see :func:`nullspace_zf_arrays`)."""
+    return _scene_block(nullspace_zf_arrays, scene, symbols, params=params)
 
 
 def minimax_coefficients(h_rows: np.ndarray, symbols: np.ndarray,
@@ -335,64 +345,67 @@ def minimax_coefficients(h_rows: np.ndarray, symbols: np.ndarray,
     return cols.swapaxes(-1, -2)
 
 
-def slp_psk(scene: MultiUserScene, symbols, order: int, solver: str = "primal",
-            params: Optional[optim.ApgParams] = None) -> PrecodeOutput:
+def slp_arrays(h_rows, symbols, noise_std, order: int, solver: str = "primal",
+               params: Optional[optim.ApgParams] = None) -> PrecodeOutput:
     """Per-symbol-time design maximizing the worst user's decision margin.
 
-    Solves the box-constrained minimax program either by the smoothed primal
-    APG or by the simplex-dual APG with closed-form primal recovery.  The
-    result is flagged (not raised) when the iteration cap was hit.
+    Batched over leading axes of ``h_rows`` ``(..., K, N)``, ``symbols``
+    ``(..., K)`` and ``noise_std`` ``(..., K)``.  Solves the box-constrained
+    minimax program either by the smoothed primal APG or by the simplex-dual
+    APG with closed-form primal recovery.  Instances that hit the iteration
+    cap are flagged in ``metadata["converged"]``, not raised.
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    if symbols.shape != (scene.n_users,):
-        raise ValueError("need one symbol per user")
     if order < 2:
         raise ValueError("PSK order must be >= 2")
     if solver not in ("primal", "dual"):
         raise ValueError("solver must be 'primal' or 'dual'")
-
-    h_rows = np.stack([realize_channel(ch, scene.geometry)
-                       for ch in scene.channels])
-    sigma_w = _scene_noise_std(scene)
-    coeffs = minimax_coefficients(h_rows, symbols, sigma_w, order)
+    symbols = np.asarray(symbols, dtype=complex)
+    coeffs = minimax_coefficients(h_rows, symbols, noise_std, order)
     problem = optim.MinimaxProblem(coefficients=coeffs, box=1.0)
 
     if solver == "primal":
         if params is None:
             params = optim.ApgParams(smoothing=0.05, tol=1e-5, max_iters=2000)
         res = optim.primal_apg(problem, params)
-        x = res.x
-        meta = {
-            "solver": "primal",
-            "objective": float(res.value),
-            "iterations": int(res.iterations),
-            "converged": bool(res.converged),
-            "restarts": int(res.restarts),
-        }
+        meta = {"objective": res.value}
     else:
         if params is None:
             params = optim.ApgParams(regularization=0.005, tol=1e-7,
                                      max_iters=3000)
         res = optim.dual_apg(problem, params)
-        x = res.x
         meta = {
-            "solver": "dual",
-            "objective": float(optim.minimax_value(problem, x)),
-            "dual_value": float(res.dual_value),
-            "duality_gap": float(res.gap),
-            "iterations": int(res.iterations),
-            "converged": bool(res.converged),
-            "restarts": int(res.restarts),
+            "objective": optim.minimax_value(problem, res.x),
+            "dual_value": res.dual_value,
+            "duality_gap": res.gap,
         }
 
-    xbar = optim.unstack_complex(x)
-    received = h_rows @ xbar
-    gains = (received * np.conj(symbols)).real
-    meta["margins"] = analysis.psk_decision_margin(received, symbols, order) / sigma_w
+    xbar = optim.unstack_complex(res.x)
+    received = (h_rows @ xbar[..., None])[..., 0]
+    meta.update(
+        solver=solver,
+        iterations=res.iterations,
+        converged=res.converged,
+        restarts=res.restarts,
+        margins=analysis.psk_decision_margin(received, symbols, order)
+        / noise_std,
+    )
     return PrecodeOutput(
-        xbar=xbar,
-        gains=gains,
+        xbar=np.moveaxis(xbar, -1, 0),
+        gains=(received * np.conj(symbols)).real,
         iq_bound=np.float64(1.0),
         scheme=f"slp_{solver}",
         metadata=meta,
     )
+
+
+def slp_psk(scene: MultiUserScene, symbols, order: int, solver: str = "primal",
+            params: Optional[optim.ApgParams] = None) -> PrecodeOutput:
+    """Worst-user margin design for one scene's symbols (see :func:`slp_arrays`)."""
+    symbols = np.asarray(symbols, dtype=complex)
+    if symbols.shape != (scene.n_users,):
+        raise ValueError("need one symbol per user")
+    h_rows = np.stack([realize_channel(ch, scene.geometry)
+                       for ch in scene.channels])
+    out = slp_arrays(h_rows, symbols, _scene_noise_std(scene), order, solver,
+                     params)
+    return replace(out, metadata=_scalars(out.metadata))

@@ -4,7 +4,6 @@ from .config import ChannelSpec, ConfigError, SimConfig, SolverSpec
 from .engine import (
     RNG_BATCH,
     SerCurve,
-    direct_quantize,
     run_iq_scatter,
     run_ser,
     run_spectrum,
@@ -17,7 +16,6 @@ __all__ = [
     "SolverSpec",
     "RNG_BATCH",
     "SerCurve",
-    "direct_quantize",
     "run_iq_scatter",
     "run_ser",
     "run_spectrum",

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from functools import partial
 from typing import Optional, Tuple
+
+from ..optim import ApgParams
 
 __all__ = ["ConfigError", "ChannelSpec", "SolverSpec", "SimConfig"]
 
@@ -53,12 +56,40 @@ def _err(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _take(d: dict, path: str, key: str, default=None, required=False):
-    if key in d:
-        return d.pop(key)
-    if required:
-        _err(f"{path}.{key}", "missing required key")
-    return default
+def _take(d: dict, path: str, key: str, convert=None, default=None,
+          required=False):
+    """Pop ``key`` and pass it through ``convert``; a value the conversion
+    rejects is a ConfigError naming the key."""
+    if key not in d:
+        if required:
+            _err(f"{path}.{key}", "missing required key")
+        return default
+    value = d.pop(key)
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        _err(f"{path}.{key}", f"cannot read {value!r} ({exc})")
+
+
+def _mapping(value) -> dict:
+    """A YAML mapping; an empty entry reads as no keys."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise TypeError("must be a mapping")
+    return dict(value)
+
+
+def _numbers(value, count=None) -> tuple:
+    """A YAML list of numbers, of ``count`` entries when given."""
+    if isinstance(value, (str, bytes, dict)):
+        raise TypeError("must be a list")
+    numbers = tuple(float(v) for v in value)
+    if count is not None and len(numbers) != count:
+        raise ValueError(f"must have {count} entries")
+    return numbers
 
 
 def _no_leftovers(d: dict, path: str):
@@ -92,25 +123,27 @@ class ChannelSpec:
         d = dict(d)
         model = _take(d, path, "model", required=True)
         kw = {"model": model}
+        pair = partial(_numbers, count=2)
         if model == "single_path":
-            kw["angle_deg"] = float(_take(d, path, "angle_deg", 0.0))
+            kw["angle_deg"] = _take(d, path, "angle_deg", float, 0.0)
         elif model == "multi_user":
-            angles = _take(d, path, "angles_deg")
+            angles = _take(d, path, "angles_deg", _numbers)
             if angles is not None:
-                kw["angles_deg"] = tuple(float(a) for a in angles)
-                kw["n_users"] = len(kw["angles_deg"])
-                if "n_users" in d and int(d.pop("n_users")) != kw["n_users"]:
+                kw["angles_deg"] = angles
+                kw["n_users"] = len(angles)
+                n_users = _take(d, path, "n_users", int)
+                if n_users is not None and n_users != kw["n_users"]:
                     _err(f"{path}.n_users", "conflicts with explicit angles_deg")
             else:
-                kw["n_users"] = int(_take(d, path, "n_users", required=True))
-                rng = _take(d, path, "angle_range_deg", (-30.0, 30.0))
-                kw["angle_range_deg"] = (float(rng[0]), float(rng[1]))
-                kw["min_separation_deg"] = float(
-                    _take(d, path, "min_separation_deg", 1.0))
-            kw["gain_model"] = str(_take(d, path, "gain_model", "unit_phase"))
-            kw["pathloss_ref"] = float(_take(d, path, "pathloss_ref", 30.0))
-            pl = _take(d, path, "pathloss_range", (20.0, 100.0))
-            kw["pathloss_range"] = (float(pl[0]), float(pl[1]))
+                kw["n_users"] = _take(d, path, "n_users", int, required=True)
+                kw["angle_range_deg"] = _take(d, path, "angle_range_deg",
+                                              pair, (-30.0, 30.0))
+                kw["min_separation_deg"] = _take(d, path, "min_separation_deg",
+                                                 float, 1.0)
+            kw["gain_model"] = _take(d, path, "gain_model", str, "unit_phase")
+            kw["pathloss_ref"] = _take(d, path, "pathloss_ref", float, 30.0)
+            kw["pathloss_range"] = _take(d, path, "pathloss_range", pair,
+                                         (20.0, 100.0))
         elif model == "iid_gaussian":
             pass
         else:
@@ -166,16 +199,28 @@ class SolverSpec:
     @staticmethod
     def from_dict(d: dict, path: str = "solver") -> "SolverSpec":
         d = dict(d)
-        kw = {}
-        for name in ("smoothing", "regularization", "tol", "dual_tol",
-                     "nullspace_smoothing_rel"):
-            if name in d:
-                kw[name] = float(d.pop(name))
-        for name in ("max_iters", "dual_max_iters", "nullspace_max_iters"):
-            if name in d:
-                kw[name] = int(d.pop(name))
+        kw = {f.name: _take(d, path, f.name, type(f.default))
+              for f in fields(SolverSpec) if f.name in d}
         _no_leftovers(d, path)
         return SolverSpec(**kw)
+
+    def apg_params(self, solver: str, scale: float = 1.0) -> ApgParams:
+        """Solver settings for a ``primal``, ``dual`` or ``nullspace`` run.
+
+        The nullspace smoothing and tolerance are relative to ``scale``, the
+        zero-forcing peak of the block being shaved.
+        """
+        if solver == "primal":
+            return ApgParams(smoothing=self.smoothing, tol=self.tol,
+                             max_iters=self.max_iters)
+        if solver == "dual":
+            return ApgParams(regularization=self.regularization,
+                             tol=self.dual_tol, max_iters=self.dual_max_iters)
+        if solver == "nullspace":
+            return ApgParams(smoothing=self.nullspace_smoothing_rel * scale,
+                             tol=1e-5 * scale,
+                             max_iters=self.nullspace_max_iters)
+        raise ValueError(f"unknown solver {solver!r}")
 
     def validate(self, path: str = "solver"):
         for name in ("smoothing", "regularization", "tol", "dual_tol",
@@ -221,37 +266,39 @@ class SimConfig:
         if not isinstance(raw, dict):
             _err(path, "top level must be a mapping")
         d = dict(raw)
-        geom = _take(d, path, "geometry", required=True)
-        if not isinstance(geom, dict):
-            _err(f"{path}.geometry", "must be a mapping")
-        geom = dict(geom)
-        n_ant = int(_take(geom, f"{path}.geometry", "n_antennas", required=True))
-        spacing = float(_take(geom, f"{path}.geometry", "spacing_over_wavelength",
-                              required=True))
-        _no_leftovers(geom, f"{path}.geometry")
+        geom_path = f"{path}.geometry"
+        geom = _take(d, path, "geometry", _mapping, required=True)
+        n_ant = _take(geom, geom_path, "n_antennas", int, required=True)
+        spacing = _take(geom, geom_path, "spacing_over_wavelength", float,
+                        required=True)
+        _no_leftovers(geom, geom_path)
 
-        con = _take(d, path, "constellation", required=True)
-        con = dict(con)
-        kind = str(_take(con, f"{path}.constellation", "kind", required=True)).lower()
-        order = int(_take(con, f"{path}.constellation", "order", required=True))
-        _no_leftovers(con, f"{path}.constellation")
+        con_path = f"{path}.constellation"
+        con = _take(d, path, "constellation", _mapping, required=True)
+        kind = _take(con, con_path, "kind", str, required=True).lower()
+        order = _take(con, con_path, "order", int, required=True)
+        _no_leftovers(con, con_path)
 
         channel = ChannelSpec.from_dict(
-            _take(d, path, "channel", required=True), f"{path}.channel")
-        solver = SolverSpec.from_dict(_take(d, path, "solver", {}) or {},
+            _take(d, path, "channel", _mapping, required=True),
+            f"{path}.channel")
+        solver = SolverSpec.from_dict(_take(d, path, "solver", _mapping, {}),
                                       f"{path}.solver")
 
-        snr = _take(d, path, "snr_db", required=True)
-        if not isinstance(snr, (list, tuple)) or len(snr) == 0:
+        snr = _take(d, path, "snr_db", _numbers, required=True)
+        if not snr:
             _err(f"{path}.snr_db", "must be a non-empty list")
 
-        spectrum = dict(_take(d, path, "spectrum", {}) or {})
-        grid = spectrum.pop("grid_deg", (-90.0, 90.0, 0.5))
-        spectrum_trials = int(spectrum.pop("trials", 2000))
-        _no_leftovers(spectrum, f"{path}.spectrum")
+        spectrum_path = f"{path}.spectrum"
+        spectrum = _take(d, path, "spectrum", _mapping, {})
+        grid = _take(spectrum, spectrum_path, "grid_deg",
+                     partial(_numbers, count=3), (-90.0, 90.0, 0.5))
+        spectrum_trials = _take(spectrum, spectrum_path, "trials", int, 2000)
+        _no_leftovers(spectrum, spectrum_path)
 
-        scatter = dict(_take(d, path, "scatter", {}) or {})
-        scatter_realizations = int(scatter.pop("realizations", 1000))
+        scatter = _take(d, path, "scatter", _mapping, {})
+        scatter_realizations = _take(scatter, f"{path}.scatter",
+                                     "realizations", int, 1000)
         _no_leftovers(scatter, f"{path}.scatter")
 
         cfg = SimConfig(
@@ -259,18 +306,18 @@ class SimConfig:
             spacing_over_wavelength=spacing,
             constellation_kind=kind,
             constellation_order=order,
-            scheme=str(_take(d, path, "scheme", required=True)),
-            modulator=str(_take(d, path, "modulator", required=True)),
-            snr_db=tuple(float(v) for v in snr),
+            scheme=_take(d, path, "scheme", str, required=True),
+            modulator=_take(d, path, "modulator", str, required=True),
+            snr_db=snr,
             channel=channel,
-            dither_level=float(_take(d, path, "dither_level", 0.8)),
-            amplitude_mode=str(_take(d, path, "amplitude_mode", "safe")),
-            trials=int(_take(d, path, "trials", 100_000)),
-            early_stop_errors=int(_take(d, path, "early_stop_errors", 500)),
-            block_length=int(_take(d, path, "block_length", 1)),
-            seed=int(_take(d, path, "seed", 0)),
+            dither_level=_take(d, path, "dither_level", float, 0.8),
+            amplitude_mode=_take(d, path, "amplitude_mode", str, "safe"),
+            trials=_take(d, path, "trials", int, 100_000),
+            early_stop_errors=_take(d, path, "early_stop_errors", int, 500),
+            block_length=_take(d, path, "block_length", int, 1),
+            seed=_take(d, path, "seed", int, 0),
             solver=solver,
-            spectrum_grid_deg=tuple(float(g) for g in grid),
+            spectrum_grid_deg=grid,
             spectrum_trials=spectrum_trials,
             scatter_realizations=scatter_realizations,
         )

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .. import analysis, modulator, optim
+from .. import analysis, modulator, precoder
 from ..channel import (
     Constellation,
     ArrayGeometry,
@@ -34,11 +34,17 @@ from ..channel import (
     make_constellation,
     steering_matrix,
 )
-from ..precoder import iq_inf_norm, minimax_coefficients, nullspace_basis
+# bench/tracing.py times these by patching them on this module, so the names
+# stay importable here although the precoders now call them.
+from ..precoder import (  # noqa: F401
+    iq_inf_norm,
+    minimax_coefficients,
+    nullspace_basis,
+)
 from .config import ConfigError, SimConfig
 
 __all__ = ["RNG_BATCH", "SerCurve", "run_ser", "run_iq_scatter",
-           "run_spectrum", "direct_quantize"]
+           "run_spectrum"]
 
 RNG_BATCH = 1024
 _CHUNK = 128          # compute-chunk width for the multi-user matrix kernels
@@ -47,11 +53,6 @@ _CH, _SYM, _NOISE, _DITHER = range(4)
 _PURPOSE_SER, _PURPOSE_SCATTER, _PURPOSE_SPECTRUM, _PURPOSE_SOLVE = range(4)
 
 _SINGLE_USER_SCHEMES = ("mrt", "mrt_steered", "mrt_generalized")
-
-
-def direct_quantize(xbar) -> np.ndarray:
-    """Memoryless one-bit quantization of each rail (sign(0) = +1)."""
-    return modulator.one_bit(xbar)
 
 
 def _streams(seed, purpose, point, block):
@@ -116,15 +117,8 @@ def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None):
     if mod == "basic":
         return modulator.sd_basic(xbar).output
     if mod == "dithered":
-        lvl = cfg.dither_level
-        n_ant = xbar.shape[0]
-        tail = xbar.shape[1:]
-        # Trial-major draw keeps early trials stable when the batch grows.
-        u = rng_dither.uniform(-lvl, lvl, size=tail + (n_ant, 2))
-        if tail:
-            u = np.moveaxis(u, 0, -1)
-        return modulator._run(xbar, 1.0, dither=u,
-                              overload_limit=2.0 + lvl).output
+        spec = modulator.DitherSpec(cfg.dither_level, seed=rng_dither)
+        return modulator.sd_dithered(xbar, spec).output
     if mod == "steered":
         return modulator.sd_angle_steered(xbar, steer_phi).output
     if mod == "generalized":
@@ -146,23 +140,12 @@ def _single_path_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
     """
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
     theta = math.radians(cfg.channel.angle_deg)
-    a = array_response(geom, theta)
-
     alpha = np.exp(1j * rngs[_CH].uniform(-math.pi, math.pi, RNG_BATCH))[:n_use]
     s_idx = rngs[_SYM].integers(0, const.order, RNG_BATCH)[:n_use]
-    s = const.points[s_idx]
-
-    if cfg.scheme == "mrt_steered":
-        phi = 2.0 * math.pi * cfg.spacing_over_wavelength * math.sin(theta)
-        amp = modulator.no_overload_amplitude(phi)
-    else:
-        phi, amp = 0.0, 1.0
-
-    u = amp * np.conj(alpha) * s          # |alpha| = 1 in this channel model
-    xbar = np.conj(a)[:, None] * u[None, :]
-    x = _modulate(cfg, xbar, rngs[_DITHER], steer_phi=phi)
-    gain = amp * cfg.n_antennas * np.ones(n_use)
-    return x, gain, alpha, s_idx, a
+    out = precoder.mrt_arrays(geom, theta, alpha, const.points[s_idx],
+                              steered=cfg.scheme == "mrt_steered")
+    x = _modulate(cfg, out.xbar, rngs[_DITHER], steer_phi=out.metadata["phi"])
+    return x, out.gains[:, 0], alpha, s_idx, array_response(geom, theta)
 
 
 def _generalized_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
@@ -177,31 +160,12 @@ def _generalized_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
     h = _complex_normal(rngs[_CH], (RNG_BATCH, n_ant))[:n_use]
     order = np.argsort(np.abs(h), axis=1, kind="stable")
     hs = np.take_along_axis(h, order, axis=1).T        # (N, B) ascending |h|
-
     s_idx = rngs[_SYM].integers(0, const.order, RNG_BATCH)[:n_use]
-    s = const.points[s_idx]
-
-    if cfg.modulator == "generalized" and cfg.amplitude_mode == "safe":
-        ratios = np.zeros_like(hs)
-        ratios[1:] = hs[:-1] / hs[1:]
-        amp = 2.0 - np.abs(ratios.real) - np.abs(ratios.imag)
-    else:
-        amp = np.ones_like(hs, dtype=float)
-
-    rail_max = np.maximum(np.abs(hs.real), np.abs(hs.imag))
-    weights = amp * np.conj(hs) / rail_max
-    xbar = weights * s[None, :]
-    spill = np.maximum(np.abs(xbar.real), np.abs(xbar.imag)) \
-        > amp * (1.0 + 1e-12)
-    if np.any(spill):
-        rail_min = np.minimum(np.abs(hs.real), np.abs(hs.imag))
-        weights = np.where(spill, weights * rail_max / (rail_max + rail_min),
-                           weights)
-        xbar = weights * s[None, :]
-
-    x = _modulate(cfg, xbar, rngs[_DITHER], gains=hs)
-    gain = (hs * weights).real.sum(axis=0)
-    return x, gain, hs, s_idx
+    safe = cfg.modulator == "generalized" and cfg.amplitude_mode == "safe"
+    out = precoder.mrt_generalized(hs, const.points[s_idx],
+                                   amplitudes=None if safe else 1.0)
+    x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=hs)
+    return x, out.gains[:, 0], hs, s_idx
 
 
 def _kernel_single_path(cfg, const, power, rngs, n_use) -> _Counts:
@@ -252,111 +216,53 @@ def _draw_mu_channel(cfg: SimConfig, rng, n_use):
     return ang, amp * np.exp(1j * phases)
 
 
-def _mu_sigma_w(cfg, power, angles, alpha):
-    s = np.sin(math.pi * cfg.spacing_over_wavelength * np.sin(angles))
-    var = (4.0 * np.abs(alpha) ** 2 * power / 3.0) * s * s + 1.0
-    return np.sqrt(var)
+def _precode_multiuser(cfg, const, steering, alpha, sigma_w, s):
+    """The configured design for ``(B, K, N)`` steering rows and ``(B, K, T)``
+    symbols; ``xbar`` comes back as ``(N, B, T)``."""
+    if cfg.scheme in ("slp_primal", "slp_dual"):
+        solver = cfg.scheme[len("slp_"):]
+        # One margin program per symbol time: time joins the batch axes.
+        h_rows = (alpha[..., None] * steering)[:, None]
+        return precoder.slp_arrays(h_rows, s.swapaxes(-1, -2),
+                                   sigma_w[:, None], const.order, solver,
+                                   cfg.solver.apg_params(solver))
+    if cfg.scheme == "nullspace_zf":
+        return precoder.nullspace_zf_arrays(
+            steering, alpha, sigma_w, s,
+            params=partial(cfg.solver.apg_params, "nullspace"))
+    return precoder.zf_arrays(steering, alpha, sigma_w, s)
 
 
-def _steering_tensor(cfg, angles):
-    phase = 2.0 * math.pi * cfg.spacing_over_wavelength * np.sin(angles)
-    n = np.arange(cfg.n_antennas)
-    return np.exp(-1j * phase[..., None] * n)
-
-
-def _zf_directions_batch(cfg, a_mat, rhs):
-    gram = np.einsum("bkn,bjn->bkj", a_mat, a_mat.conj()) / cfg.n_antennas
-    y = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    return np.einsum("bkn,bk->bn", a_mat.conj(), y) / cfg.n_antennas
-
-
-def _kernel_multiuser_symbol(cfg, const, power, rngs, n_use) -> _Counts:
-    """ZF and margin-maximizing precoding, one symbol time per trial (PSK)."""
-    k = cfg.channel.n_users
-    angles, alpha = _draw_mu_channel(cfg, rngs[_CH], n_use)
-    s_idx = rngs[_SYM].integers(0, const.order, (RNG_BATCH, k))[:n_use]
-    noise = _complex_normal(rngs[_NOISE], (RNG_BATCH, k))[:n_use]
-    amp_scale = math.sqrt(power / (2.0 * cfg.n_antennas))
-
-    counts = _Counts(trials=n_use)
-    for lo in range(0, n_use, _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, n_use))
-        ang_c, alp_c, sidx_c = angles[sl], alpha[sl], s_idx[sl]
-        a_mat = _steering_tensor(cfg, ang_c)
-        sigma_w = _mu_sigma_w(cfg, power, ang_c, alp_c)
-        s = const.points[sidx_c]
-
-        if cfg.scheme == "zf":
-            weights = sigma_w * np.conj(alp_c) / np.abs(alp_c) ** 2
-            v = _zf_directions_batch(cfg, a_mat, weights * s)
-            gamma = 1.0 / iq_inf_norm(v, axis=-1)
-            xbar = gamma[:, None] * v
-        else:
-            h_rows = alp_c[..., None] * a_mat
-            coeffs = minimax_coefficients(h_rows, s, sigma_w, const.order)
-            problem = optim.MinimaxProblem(coefficients=coeffs, box=1.0)
-            if cfg.scheme == "slp_primal":
-                params = optim.ApgParams(smoothing=cfg.solver.smoothing,
-                                         tol=cfg.solver.tol,
-                                         max_iters=cfg.solver.max_iters)
-                res = optim.primal_apg(problem, params)
-            else:
-                params = optim.ApgParams(
-                    regularization=cfg.solver.regularization,
-                    tol=cfg.solver.dual_tol,
-                    max_iters=cfg.solver.dual_max_iters)
-                res = optim.dual_apg(problem, params)
-            counts.nonconverged += int((~res.converged).sum())
-            xbar = optim.unstack_complex(res.x)
-
-        x = _modulate(cfg, xbar.T, rngs[_DITHER])
-        rx = amp_scale * alp_c * np.einsum("bkn,nb->bk", a_mat, x) + noise[sl]
-        _tally(counts, rx, 1.0, sidx_c, const)
-    return counts
-
-
-def _kernel_block(cfg, const, power, rngs, n_use) -> _Counts:
-    """Block zero-forcing (plain or nullspace-assisted) for QAM blocks."""
-    k = cfg.channel.n_users
-    t_len = cfg.block_length
+def _kernel_multiuser(cfg, const, power, rngs, n_use) -> _Counts:
+    """Zero-forcing, nullspace and margin designs over ``(K, T)`` symbol
+    blocks, ``T = 1`` for the per-symbol schemes."""
+    k, t_len = cfg.channel.n_users, cfg.block_length
+    geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
     angles, alpha = _draw_mu_channel(cfg, rngs[_CH], n_use)
     s_idx = rngs[_SYM].integers(0, const.order, (RNG_BATCH, k, t_len))[:n_use]
     noise = _complex_normal(rngs[_NOISE], (RNG_BATCH, k, t_len))[:n_use]
     amp_scale = math.sqrt(power / (2.0 * cfg.n_antennas))
 
     counts = _Counts(trials=n_use)
-    for b in range(n_use):
-        a_mat = _steering_tensor(cfg, angles[b])          # (K, N)
-        sigma_w = _mu_sigma_w(cfg, power, angles[b], alpha[b])
-        s = const.points[s_idx[b]]                        # (K, T)
-        weights = sigma_w * np.conj(alpha[b]) / np.abs(alpha[b]) ** 2
-        rhs = weights[:, None] * s
+    # Chunks hold a fixed number of symbol columns, so long blocks run (and
+    # modulate) one trial at a time.
+    step = max(1, _CHUNK // t_len)
+    for lo in range(0, n_use, step):
+        sl = slice(lo, min(lo + step, n_use))
+        steering = steering_matrix(geom, angles[sl])
+        sigma_w = np.sqrt(analysis.noise_variance_single(
+            alpha[sl], angles[sl], power, 1.0, cfg.spacing_over_wavelength))
+        out = _precode_multiuser(cfg, const, steering, alpha[sl], sigma_w,
+                                 const.points[s_idx[sl]])
+        if "converged" in out.metadata:
+            counts.nonconverged += int(np.count_nonzero(
+                ~out.metadata["converged"]))
 
-        gram = (a_mat @ a_mat.conj().T) / cfg.n_antennas
-        y = np.linalg.solve(gram, rhs)
-        v = (a_mat.conj().T @ y) / cfg.n_antennas         # (N, T)
-
-        if cfg.scheme == "nullspace_zf":
-            basis = nullspace_basis(a_mat)
-            scale = float(iq_inf_norm(v))
-            params = optim.ApgParams(
-                smoothing=cfg.solver.nullspace_smoothing_rel * scale,
-                tol=1e-5 * scale,
-                max_iters=cfg.solver.nullspace_max_iters)
-            xi, solve = optim.min_iq_inf_norm(v.T, basis, params=params)
-            shaved = (v.T + xi @ basis.T).T
-            peak = float(np.max(solve.value))
-            counts.nonconverged += int(np.any(~solve.converged))
-        else:
-            shaved = v
-            peak = float(iq_inf_norm(v))
-
-        gamma = 1.0 / peak
-        xbar = gamma * shaved
-        x = _modulate(cfg, xbar, rngs[_DITHER])
-        rx = amp_scale * alpha[b][:, None] * (a_mat @ x) + noise[b]
-        c = amp_scale * gamma * sigma_w
-        _tally(counts, rx, c[:, None], s_idx[b], const)
+        x = _modulate(cfg, out.xbar, rngs[_DITHER])
+        rx = amp_scale * alpha[sl][..., None] \
+            * (steering @ np.moveaxis(x, 0, -2)) + noise[sl]
+        scale = 1.0 if const.kind == "psk" else amp_scale * out.gains[..., None]
+        _tally(counts, rx, scale, s_idx[sl], const)
     return counts
 
 
@@ -364,11 +270,11 @@ _KERNELS = {
     "mrt": _kernel_single_path,
     "mrt_steered": _kernel_single_path,
     "mrt_generalized": _kernel_generalized,
-    "zf": _kernel_multiuser_symbol,
-    "slp_primal": _kernel_multiuser_symbol,
-    "slp_dual": _kernel_multiuser_symbol,
-    "zf_qam": _kernel_block,
-    "nullspace_zf": _kernel_block,
+    "zf": _kernel_multiuser,
+    "slp_primal": _kernel_multiuser,
+    "slp_dual": _kernel_multiuser,
+    "zf_qam": _kernel_multiuser,
+    "nullspace_zf": _kernel_multiuser,
 }
 
 

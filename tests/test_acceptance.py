@@ -477,13 +477,13 @@ def test_criterion_12_nullspace_gain():
         scene = _random_scene(rng, 256, 16, power=10.0 ** 2.1)
         symbols = const.points[rng.integers(0, 16, (16, 100))]
         plain = zf_precode_qam_block(scene, symbols)
-        scale = 1.0 / plain[0].metadata["gamma"]
+        scale = 1.0 / plain.metadata["gamma"]
         helped = nullspace_zf(scene, symbols,
                               params=_Params(smoothing=4e-3 * scale,
                                              tol=1e-5 * scale,
                                              max_iters=120))
         gains_db.append(20.0 * math.log10(
-            helped[0].metadata["gamma"] / plain[0].metadata["gamma"]))
+            helped.metadata["gamma"] / plain.metadata["gamma"]))
     gains_db = np.array(gains_db)
 
     base = {

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 import yaml
 
 from sdprecode.cli import main
@@ -90,6 +91,19 @@ def test_incompatible_pair_exits_2(tmp_path, capsys):
     assert main(["ser", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "modulator" in err
+
+
+@pytest.mark.parametrize("patch,key", [
+    ({"geometry": {"n_antennas": "abc", "spacing_over_wavelength": 0.125}},
+     "geometry.n_antennas"),
+    ({"constellation": "psk"}, "constellation"),
+    ({"snr_db": ["low", "high"]}, "snr_db"),
+    ({"channel": "single_path"}, "channel"),
+])
+def test_mistyped_value_exits_2_naming_the_key(tmp_path, capsys, patch, key):
+    cfg = _write_cfg(tmp_path, {**MINIMAL, **patch})
+    assert main(["ser", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{key}:" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -213,8 +213,8 @@ class TestZfBlock:
         s = const.points[rng.integers(0, 16, (4, 1))]
         block = zf_precode_qam_block(scene, s)
         plain = zf_precode(scene, s[:, 0])
-        assert len(block) == 1
-        np.testing.assert_allclose(block[0].xbar, plain.xbar, atol=1e-12)
+        assert block.xbar.shape[1] == 1
+        np.testing.assert_allclose(block.xbar[:, 0], plain.xbar, atol=1e-12)
 
     def test_common_scale_and_peak_attained(self):
         rng = np.random.default_rng(7)
@@ -222,10 +222,10 @@ class TestZfBlock:
         const = make_constellation("qam", 16)
         s = const.points[rng.integers(0, 16, (8, 20))]
         block = zf_precode_qam_block(scene, s)
-        peaks = np.array([iq_inf_norm(o.xbar) for o in block])
+        peaks = iq_inf_norm(block.xbar, axis=0)
         assert peaks.max() == pytest.approx(1.0, abs=1e-12)
         assert np.all(peaks <= 1.0 + BOUND_TOL)
-        gains = np.stack([o.gains for o in block])
+        gains = np.atleast_2d(block.gains)
         assert np.ptp(gains, axis=0).max() < 1e-12
 
     def test_equal_symbols_all_saturate(self):
@@ -234,8 +234,8 @@ class TestZfBlock:
         const = make_constellation("qam", 4)
         s = np.tile(const.points[rng.integers(0, 4, (4, 1))], (1, 5))
         block = zf_precode_qam_block(scene, s)
-        for out in block:
-            assert iq_inf_norm(out.xbar) == pytest.approx(1.0, abs=1e-12)
+        for xbar in block.xbar.T:
+            assert iq_inf_norm(xbar) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNullspaceZf:
@@ -246,8 +246,8 @@ class TestNullspaceZf:
         s = const.points[rng.integers(0, 16, (6, 8))]
         block = nullspace_zf(scene, s)
         h = _scene_rows(scene)
-        for t, out in enumerate(block):
-            np.testing.assert_allclose(h @ out.xbar, out.gains * s[:, t],
+        for t, xbar in enumerate(block.xbar.T):
+            np.testing.assert_allclose(h @ xbar, block.gains * s[:, t],
                                        atol=1e-9)
 
     def test_scale_never_below_plain_zf(self):
@@ -258,8 +258,8 @@ class TestNullspaceZf:
             s = const.points[rng.integers(0, 16, (6, 10))]
             plain = zf_precode_qam_block(scene, s)
             assisted = nullspace_zf(scene, s)
-            assert assisted[0].metadata["gamma"] >= \
-                plain[0].metadata["gamma"] - 1e-12
+            assert assisted.metadata["gamma"] >= \
+                plain.metadata["gamma"] - 1e-12
 
     def test_full_rank_square_has_empty_nullspace(self):
         rng = np.random.default_rng(11)
@@ -268,8 +268,8 @@ class TestNullspaceZf:
         s = const.points[rng.integers(0, 4, (6, 3))]
         assisted = nullspace_zf(scene, s)
         plain = zf_precode_qam_block(scene, s)
-        for a, p in zip(assisted, plain):
-            np.testing.assert_allclose(a.xbar, p.xbar, atol=1e-12)
+        for a, p in zip(assisted.xbar.T, plain.xbar.T):
+            np.testing.assert_allclose(a, p, atol=1e-12)
 
     def test_basis_is_orthonormal_nullspace(self):
         rng = np.random.default_rng(12)

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sdprecode.modulator import sd_basic
+from sdprecode.modulator import one_bit, sd_basic
 from sdprecode.sim import (
     ConfigError,
     SimConfig,
-    direct_quantize,
     run_iq_scatter,
     run_ser,
     run_spectrum,
@@ -91,17 +90,17 @@ class TestConfigValidation:
 class TestDirectQuantize:
     def test_first_quadrant(self):
         x = np.full(5, 0.25 + 0.75j)
-        np.testing.assert_array_equal(direct_quantize(x), np.full(5, 1 + 1j))
+        np.testing.assert_array_equal(one_bit(x), np.full(5, 1 + 1j))
 
     def test_idempotent_on_one_bit_vectors(self):
         res = sd_basic(np.array([0.3, -0.6, 0.2], dtype=complex))
-        np.testing.assert_array_equal(direct_quantize(res.output), res.output)
+        np.testing.assert_array_equal(one_bit(res.output), res.output)
 
     def test_matches_feedback_modulator_on_first_antenna_only(self):
         rng = np.random.default_rng(0)
         xbar = rng.uniform(-1, 1, (16, 200)) + 1j * rng.uniform(-1, 1,
                                                                 (16, 200))
-        hard = direct_quantize(xbar)
+        hard = one_bit(xbar)
         fed = sd_basic(xbar).output
         np.testing.assert_array_equal(hard[0], fed[0])
         assert np.any(hard[1:] != fed[1:])
