@@ -203,7 +203,10 @@ def steering_matrix(geometry: ArrayGeometry, angles) -> np.ndarray:
         raise ValueError("angles must lie in [-pi/2, pi/2]")
     n = np.arange(geometry.n_antennas)
     phase = 2.0 * np.pi * geometry.spacing_over_wavelength * np.sin(angles)
-    return np.exp(-1j * np.multiply.outer(phase, n))
+    # Exponentiate in place: the engine's (trials, users, antennas) stacks
+    # run to tens of MB, and a second one is a needless peak.
+    z = -1j * np.multiply.outer(phase, n)
+    return np.exp(z, out=z)
 
 
 def realize_channel(channel: Channel, geometry: ArrayGeometry) -> np.ndarray:

@@ -88,7 +88,9 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
     """Shared recursion: b_n = f_n * b_{n-1} + xbar_n - f_n * x_{n-1}.
 
     ``feedback`` is a scalar, an (N,) vector, or an array broadcastable to
-    xbar's shape, giving the per-step feedback multiplier f_n.
+    xbar's shape, giving the per-step feedback multiplier f_n.  ``dither``,
+    shaped like xbar, is added at the quantizer input (real part to the
+    in-phase rail, imaginary part to the quadrature rail).
     """
     xbar = np.asarray(xbar, dtype=complex)
     if xbar.ndim < 1 or xbar.shape[0] < 1:
@@ -104,7 +106,7 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
         # every call costs less on 1-D rows than on n-D ones.
         xbar = xbar.reshape(n_ant, -1)
         if dither is not None:
-            dither = dither.reshape(n_ant, 2, -1)
+            dither = dither.reshape(n_ant, -1)
 
     b = np.empty_like(xbar)
     x = np.empty_like(xbar)
@@ -113,12 +115,7 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
     for n in range(n_ant):
         f = fb[n]
         bn = f * b_prev + (xbar[n] - f * x_prev)
-        if dither is None:
-            xn = one_bit(bn)
-        else:
-            re = np.where(bn.real + dither[n, 0] >= 0.0, 1.0, -1.0)
-            im = np.where(bn.imag + dither[n, 1] >= 0.0, 1.0, -1.0)
-            xn = re + 1j * im
+        xn = one_bit(bn if dither is None else bn + dither[n])
         b[n] = bn
         x[n] = xn
         b_prev = bn
@@ -157,7 +154,7 @@ def sd_dithered(xbar, dither: DitherSpec) -> ModulationResult:
     rng = np.random.default_rng(dither.seed)
     u = rng.uniform(-dither.level, dither.level,
                     size=xbar.shape[1:] + (xbar.shape[0], 2))
-    u = np.moveaxis(u, (-2, -1), (0, 1))
+    u = np.moveaxis(u[..., 0] + 1j * u[..., 1], -1, 0)
     return _run(xbar, 1.0, dither=u, overload_limit=2.0 + dither.level)
 
 
@@ -183,15 +180,22 @@ def sd_generalized(xbar, gains) -> ModulationResult:
     out of ``h^T x``, leaving only the last antenna's error.
     """
     h = np.asarray(gains, dtype=complex)
-    if np.any(h == 0):
-        raise ValueError("channel gains must all be nonzero")
+    ratios = _feedback_ratios(h)
     mags = np.abs(h)
     if np.any(mags[:-1] > mags[1:]):
         raise ValueError("gains must be sorted by nondecreasing magnitude; "
                          "canonicalize the channel first")
+    return _run(xbar, ratios)
+
+
+def _feedback_ratios(gains) -> np.ndarray:
+    """Channel-matched feedback ``r_n = h_{n-1}/h_n``, with ``r_1 = 0``."""
+    h = np.asarray(gains, dtype=complex)
+    if np.any(h == 0):
+        raise ValueError("channel gains must all be nonzero")
     ratios = np.zeros_like(h)
     ratios[1:] = h[:-1] / h[1:]
-    return _run(xbar, ratios)
+    return ratios
 
 
 def no_overload_amplitude(phi) -> np.ndarray:
@@ -212,9 +216,5 @@ def no_overload_amplitudes_generalized(gains) -> np.ndarray:
     ``A_n = 2 - |Re r_n| - |Im r_n|``; the first antenna has no feedback, so
     A_1 = 2, and canonical ordering keeps every later A_n in [2-sqrt(2), 2).
     """
-    h = np.asarray(gains, dtype=complex)
-    if np.any(h == 0):
-        raise ValueError("channel gains must all be nonzero")
-    ratios = np.zeros_like(h)
-    ratios[1:] = h[:-1] / h[1:]
+    ratios = _feedback_ratios(gains)
     return 2.0 - np.abs(ratios.real) - np.abs(ratios.imag)

@@ -17,7 +17,7 @@ Instances are independent; nothing here holds state between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -234,6 +234,52 @@ def _clip_box(x, box):
     return np.clip(x, -box, box)
 
 
+def _apg(x0, step, params: ApgParams, value_grad, project):
+    """FISTA with adaptive restart, minimizing over a projected set, batched.
+
+    ``x0`` is the ``(..., n)`` feasible start, ``step`` the step size per
+    instance, ``value_grad(x)`` returns the objective and its gradient and
+    ``project`` maps a point back onto the feasible set.  Each instance
+    stops once the iterate moves less than ``params.tol`` in the 2-norm, or
+    runs to the cap; momentum restarts whenever the objective rises.
+    Returns ``(x, value, iterations, converged, restarts)``.
+    """
+    lead = x0.shape[:-1]
+    step = np.broadcast_to(step, lead)[..., None]
+    x = x0
+    x_ex = x.copy()
+    t = np.ones(lead)
+    f_cur, _ = value_grad(x)
+    converged = np.zeros(lead, dtype=bool)
+    iterations = np.zeros(lead, dtype=np.int64)
+    restarts = np.zeros(lead, dtype=np.int64)
+
+    for _ in range(params.max_iters):
+        active = ~converged
+        if not np.any(active):
+            break
+        _, grad = value_grad(x_ex)
+        x_new = project(x_ex - step * grad)
+        x_new = np.where(active[..., None], x_new, x)
+        f_new, _ = value_grad(x_new)
+
+        if params.restart:
+            worse = active & (f_new > f_cur)
+            t = np.where(worse, 1.0, t)
+            restarts += worse
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = ((t - 1.0) / t_new)[..., None]
+        x_ex = x_new + beta * (x_new - x)
+
+        shift = np.linalg.norm(x_new - x, axis=-1)
+        converged |= active & (shift <= params.tol)
+        iterations += active
+        x = x_new
+        t = t_new
+        f_cur = np.where(active, f_new, f_cur)
+    return x, f_cur, iterations, converged, restarts
+
+
 def primal_apg(problem: MinimaxProblem, params: ApgParams,
                x0: Optional[np.ndarray] = None,
                norm_sq: Optional[np.ndarray] = None) -> ApgResult:
@@ -257,43 +303,12 @@ def primal_apg(problem: MinimaxProblem, params: ApgParams,
         norm_sq = np.asarray(spectral_norm_sq(c))
     norm_sq = np.asarray(norm_sq) * params.norm_inflation
     step = mu / np.maximum(norm_sq, 1e-300)
-    step = np.broadcast_to(step, lead)[..., None]
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), lead + (n,)).copy()
-    x_ex = x.copy()
-    t = np.ones(lead)
-    f_cur, _ = smoothed_objective(c, x, mu, d)
-    converged = np.zeros(lead, dtype=bool)
-    iterations = np.zeros(lead, dtype=np.int64)
-    restarts = np.zeros(lead, dtype=np.int64)
-
-    for _ in range(params.max_iters):
-        active = ~converged
-        if not np.any(active):
-            break
-        _, grad = smoothed_objective(c, x_ex, mu, d)
-        x_new = _clip_box(x_ex - step * grad, problem.box)
-        x_new = np.where(active[..., None], x_new, x)
-        f_new, _ = smoothed_objective(c, x_new, mu, d)
-
-        if params.restart:
-            worse = active & (f_new > f_cur)
-            t = np.where(worse, 1.0, t)
-            restarts += worse
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = ((t - 1.0) / t_new)[..., None]
-        x_ex = x_new + beta * (x_new - x)
-
-        shift = np.linalg.norm(x_new - x, axis=-1)
-        newly = active & (shift <= params.tol)
-        converged |= newly
-        iterations += active
-        x = x_new
-        t = t_new
-        f_cur = np.where(active, f_new, f_cur)
-
-    value = minimax_value(problem, x)
-    return ApgResult(x=x, value=value, smoothed_value=f_cur,
+    x, f_cur, iterations, converged, restarts = _apg(
+        x, step, params, lambda v: smoothed_objective(c, v, mu, d),
+        lambda v: _clip_box(v, problem.box))
+    return ApgResult(x=x, value=minimax_value(problem, x), smoothed_value=f_cur,
                      iterations=iterations, converged=converged,
                      restarts=restarts)
 
@@ -354,41 +369,15 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
 
     norm_sq = np.asarray(spectral_norm_sq(c)) * params.norm_inflation
     step = tau / np.maximum(norm_sq, 1e-300)
-    step = np.broadcast_to(step, lead)[..., None]
 
-    lam = np.full(lead + (m,), 1.0 / m)
-    lam_ex = lam.copy()
-    t = np.ones(lead)
-    g_cur, _, _ = _dual_value_and_grad(c, d, lam, tau)
-    converged = np.zeros(lead, dtype=bool)
-    iterations = np.zeros(lead, dtype=np.int64)
-    restarts = np.zeros(lead, dtype=np.int64)
+    def negated(lam):
+        # Maximizing g is minimizing -g; negation is exact, so the iterates
+        # are those of ascent on g itself.
+        value, grad, _ = _dual_value_and_grad(c, d, lam, tau)
+        return -value, -grad
 
-    for _ in range(params.max_iters):
-        active = ~converged
-        if not np.any(active):
-            break
-        _, grad, _ = _dual_value_and_grad(c, d, lam_ex, tau)
-        lam_new = project_simplex(lam_ex + step * grad)
-        lam_new = np.where(active[..., None], lam_new, lam)
-        g_new, _, _ = _dual_value_and_grad(c, d, lam_new, tau)
-
-        if params.restart:
-            worse = active & (g_new < g_cur)
-            t = np.where(worse, 1.0, t)
-            restarts += worse
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = ((t - 1.0) / t_new)[..., None]
-        lam_ex = lam_new + beta * (lam_new - lam)
-
-        shift = np.linalg.norm(lam_new - lam, axis=-1)
-        newly = active & (shift <= params.tol)
-        converged |= newly
-        iterations += active
-        lam = lam_new
-        t = t_new
-        g_cur = np.where(active, g_new, g_cur)
-
+    lam, _, iterations, converged, restarts = _apg(
+        np.full(lead + (m,), 1.0 / m), step, params, negated, project_simplex)
     g_val, _, x = _dual_value_and_grad(c, d, lam, tau)
     primal = minimax_value(problem, x) + 0.5 * tau * (x * x).sum(axis=-1)
     return DualApgResult(multipliers=lam, x=x, dual_value=g_val,
@@ -413,13 +402,13 @@ def min_iq_inf_norm(r: np.ndarray, basis: np.ndarray,
     r = np.asarray(r, dtype=complex)
     basis = np.asarray(basis, dtype=complex)
     n_free = basis.shape[-1]
+    baseline = np.maximum(np.abs(r.real), np.abs(r.imag)).max(axis=-1)
     if n_free == 0:
         zero = np.zeros(r.shape[:-1] + (0,), dtype=complex)
-        value = np.maximum(np.abs(r.real), np.abs(r.imag)).max(axis=-1)
         dummy = np.zeros(r.shape[:-1])
         return zero, ApgResult(
-            x=np.zeros(r.shape[:-1] + (0,)), value=value,
-            smoothed_value=value, iterations=dummy.astype(np.int64),
+            x=np.zeros(r.shape[:-1] + (0,)), value=baseline,
+            smoothed_value=baseline, iterations=dummy.astype(np.int64),
             converged=np.ones(r.shape[:-1], dtype=bool),
             restarts=dummy.astype(np.int64))
 
@@ -447,20 +436,16 @@ def min_iq_inf_norm(r: np.ndarray, basis: np.ndarray,
     for mu in stages:
         iters = params.max_iters if mu == stages[-1] \
             else max(1, params.max_iters // 2)
-        stage_params = ApgParams(smoothing=mu, tol=params.tol,
-                                 max_iters=iters, restart=params.restart,
-                                 norm_inflation=params.norm_inflation)
-        result = primal_apg(problem, stage_params, x0, norm_sq=norm_sq)
+        result = primal_apg(problem, replace(params, smoothing=mu,
+                                             max_iters=iters),
+                            x0, norm_sq=norm_sq)
         x0 = result.x
 
     # Falling back to xi = 0 whenever the solver did worse keeps the
     # minimized norm at or below the unassisted one on every instance.
-    baseline = np.maximum(np.abs(r.real), np.abs(r.imag)).max(axis=-1)
     use_zero = result.value > baseline
     x = np.where(use_zero[..., None], 0.0, result.x)
-    value = np.where(use_zero, baseline, result.value)
-    result = ApgResult(x=x, value=value, smoothed_value=result.smoothed_value,
-                       iterations=result.iterations, converged=result.converged,
-                       restarts=result.restarts)
+    result = replace(result, x=x,
+                     value=np.where(use_zero, baseline, result.value))
     xi = x[..., :n_free] + 1j * x[..., n_free:]
     return xi, result

@@ -7,44 +7,31 @@ from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 from typing import Optional, Tuple
 
+from ..channel import make_constellation
 from ..optim import ApgParams
 
 __all__ = ["ConfigError", "ChannelSpec", "SolverSpec", "SimConfig"]
 
-SCHEMES = (
-    "mrt", "mrt_steered", "mrt_generalized",
-    "zf", "zf_qam", "nullspace_zf", "slp_primal", "slp_dual",
-)
 MODULATORS = ("basic", "dithered", "steered", "generalized",
               "unquantized", "direct")
 
-# Which modulators make sense behind each scheme.  The steered modulator
-# needs the single steering rotation the steered scheme computes; the
-# channel-matched modulator needs the per-antenna ratios of the generalized
-# scheme; multi-user schemes run the plain (optionally dithered) modulator.
-_COMPAT = {
-    "mrt": {"basic", "dithered", "unquantized", "direct"},
-    "mrt_steered": {"steered", "unquantized"},
-    "mrt_generalized": {"generalized", "unquantized", "direct"},
-    "zf": {"basic", "dithered", "unquantized", "direct"},
-    "slp_primal": {"basic", "dithered", "unquantized", "direct"},
-    "slp_dual": {"basic", "dithered", "unquantized", "direct"},
-    "zf_qam": {"basic", "dithered", "unquantized", "direct"},
-    "nullspace_zf": {"basic", "dithered", "unquantized", "direct"},
+# Each scheme's channel model and the modulators that make sense behind it.
+# The steered modulator needs the single steering rotation the steered
+# scheme computes; the channel-matched modulator needs the per-antenna
+# ratios of the generalized scheme; the other schemes run the plain
+# (optionally dithered) modulator.
+_PLAIN = frozenset({"basic", "dithered", "unquantized", "direct"})
+SCHEMES = {
+    "mrt": ("single_path", _PLAIN),
+    "mrt_steered": ("single_path", frozenset({"steered", "unquantized"})),
+    "mrt_generalized": ("iid_gaussian",
+                        frozenset({"generalized", "unquantized", "direct"})),
+    "zf": ("multi_user", _PLAIN),
+    "zf_qam": ("multi_user", _PLAIN),
+    "nullspace_zf": ("multi_user", _PLAIN),
+    "slp_primal": ("multi_user", _PLAIN),
+    "slp_dual": ("multi_user", _PLAIN),
 }
-
-_CHANNEL_FOR_SCHEME = {
-    "mrt": "single_path",
-    "mrt_steered": "single_path",
-    "mrt_generalized": "iid_gaussian",
-    "zf": "multi_user",
-    "slp_primal": "multi_user",
-    "slp_dual": "multi_user",
-    "zf_qam": "multi_user",
-    "nullspace_zf": "multi_user",
-}
-
-_MULTI_USER_SCHEMES = ("zf", "slp_primal", "slp_dual", "zf_qam", "nullspace_zf")
 _BLOCK_SCHEMES = ("zf_qam", "nullspace_zf")
 
 
@@ -337,14 +324,14 @@ class SimConfig:
             _err(f"{path}.scheme", f"unknown scheme {self.scheme!r}")
         if self.modulator not in MODULATORS:
             _err(f"{path}.modulator", f"unknown modulator {self.modulator!r}")
-        if self.modulator not in _COMPAT[self.scheme]:
+        model, allowed = SCHEMES[self.scheme]
+        if self.modulator not in allowed:
             _err(f"{path}.modulator",
                  f"modulator {self.modulator!r} is incompatible with scheme "
-                 f"{self.scheme!r} (allowed: {sorted(_COMPAT[self.scheme])})")
-        if self.channel.model != _CHANNEL_FOR_SCHEME[self.scheme]:
+                 f"{self.scheme!r} (allowed: {sorted(allowed)})")
+        if self.channel.model != model:
             _err(f"{path}.channel.model",
-                 f"scheme {self.scheme!r} needs channel model "
-                 f"{_CHANNEL_FOR_SCHEME[self.scheme]!r}")
+                 f"scheme {self.scheme!r} needs channel model {model!r}")
         self.channel.validate(f"{path}.channel")
         self.solver.validate(f"{path}.solver")
 
@@ -361,17 +348,13 @@ class SimConfig:
         if self.block_length > 1 and self.scheme not in _BLOCK_SCHEMES:
             _err(f"{path}.block_length",
                  f"only block schemes {_BLOCK_SCHEMES} accept block_length > 1")
-        if self.scheme in _MULTI_USER_SCHEMES \
+        if self.channel.model == "multi_user" \
                 and self.channel.n_users > self.n_antennas:
             _err(f"{path}.channel.n_users", "must not exceed n_antennas")
-
-        if self.constellation_kind == "psk" and self.constellation_order < 2:
-            _err(f"{path}.constellation.order", "PSK order must be >= 2")
-        if self.constellation_kind == "qam":
-            m = round(math.sqrt(self.constellation_order))
-            if self.constellation_order < 4 or m * m != self.constellation_order \
-                    or (m & (m - 1)) != 0:
-                _err(f"{path}.constellation.order", "QAM order must be a power of 4")
+        try:
+            make_constellation(self.constellation_kind, self.constellation_order)
+        except ValueError as exc:
+            _err(f"{path}.constellation.order", str(exc))
 
         if self.dither_level < 0:
             _err(f"{path}.dither_level", "must be >= 0")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
 
@@ -41,7 +41,7 @@ from ..precoder import (  # noqa: F401
     minimax_coefficients,
     nullspace_basis,
 )
-from .config import ConfigError, SimConfig
+from .config import SCHEMES, ConfigError, SimConfig
 
 __all__ = ["RNG_BATCH", "SerCurve", "run_ser", "run_iq_scatter",
            "run_spectrum"]
@@ -51,8 +51,6 @@ _CHUNK = 128          # compute-chunk width for the multi-user matrix kernels
 
 _CH, _SYM, _NOISE, _DITHER = range(4)
 _PURPOSE_SER, _PURPOSE_SCATTER, _PURPOSE_SPECTRUM, _PURPOSE_SOLVE = range(4)
-
-_SINGLE_USER_SCHEMES = ("mrt", "mrt_steered", "mrt_generalized")
 
 
 def _streams(seed, purpose, point, block):
@@ -90,15 +88,12 @@ class _Counts:
     nonconverged: int = 0
 
     def add(self, other: "_Counts"):
-        self.trials += other.trials
-        self.symbols += other.symbols
-        self.symbol_errors += other.symbol_errors
-        self.bits += other.bits
-        self.bit_errors += other.bit_errors
-        self.nonconverged += other.nonconverged
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def _tally(counts: _Counts, rx, scale, s_idx, const: Constellation):
+def _tally(counts: _Counts, rx, amp_scale, gains, s_idx, const: Constellation):
+    scale = 1.0 if const.kind == "psk" else amp_scale * gains
     idx = decide(rx, const, scale)
     counts.symbols += idx.size
     counts.symbol_errors += int((idx != s_idx).sum())
@@ -127,66 +122,49 @@ def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None):
 
 
 # ---------------------------------------------------------------------------
-# Single-user transmit pipelines (shared by SER, scatter, and spectrum runs)
+# Single-user pipeline (shared by SER, scatter, and spectrum runs)
 # ---------------------------------------------------------------------------
 
-def _single_path_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
-    """MRT (optionally angle steered) toward one fixed-angle user.
+def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
+    """MRT toward one user: plain or angle steered toward a fixed-angle path,
+    or channel matched over an i.i.d. Gaussian channel.
 
-    Returns (x, gain, alpha, s_idx, response): the one-bit (or pass-through)
-    antenna matrix (N, n_use), the coherent receive gain per trial, the
-    channel phase per trial, sent symbol indices, and the user's steering
-    vector.
+    Returns ``(x, gain, s_idx, alpha, y)``: the one-bit (or pass-through)
+    antenna matrix (N, n_use), the coherent receive gain per trial, the sent
+    symbol indices, and the noiseless receive ``alpha * y``.  On a single
+    path ``alpha`` is the channel phase per trial and ``y = a @ x``.  The
+    i.i.d. channel is sorted by magnitude per trial (the matched modulator's
+    canonical order), and ``y`` uses the sorted channel, which is equivalent
+    to un-permuting the antenna vector; there ``alpha = 1``.
     """
-    geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
-    theta = math.radians(cfg.channel.angle_deg)
-    alpha = np.exp(1j * rngs[_CH].uniform(-math.pi, math.pi, RNG_BATCH))[:n_use]
-    s_idx = rngs[_SYM].integers(0, const.order, RNG_BATCH)[:n_use]
-    out = precoder.mrt_arrays(geom, theta, alpha, const.points[s_idx],
-                              steered=cfg.scheme == "mrt_steered")
-    x = _modulate(cfg, out.xbar, rngs[_DITHER], steer_phi=out.metadata["phi"])
-    return x, out.gains[:, 0], alpha, s_idx, array_response(geom, theta)
+    s_idx = rngs[_SYM].integers(0, const.order, n_use)
+    if cfg.channel.model == "iid_gaussian":
+        h = _complex_normal(rngs[_CH], (n_use, cfg.n_antennas))
+        order = np.argsort(np.abs(h), axis=1, kind="stable")
+        hs = np.take_along_axis(h, order, axis=1).T        # (N, B) ascending |h|
+        safe = cfg.modulator == "generalized" and cfg.amplitude_mode == "safe"
+        out = precoder.mrt_generalized(hs, const.points[s_idx],
+                                       amplitudes=None if safe else 1.0)
+        x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=hs)
+        alpha, y = 1.0, np.einsum("nb,nb->b", hs, x)
+    else:
+        geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
+        theta = math.radians(cfg.channel.angle_deg)
+        alpha = np.exp(1j * rngs[_CH].uniform(-math.pi, math.pi, n_use))
+        out = precoder.mrt_arrays(geom, theta, alpha, const.points[s_idx],
+                                  steered=cfg.scheme == "mrt_steered")
+        x = _modulate(cfg, out.xbar, rngs[_DITHER],
+                      steer_phi=out.metadata["phi"])
+        y = array_response(geom, theta) @ x
+    return x, out.gains[:, 0], s_idx, alpha, y
 
 
-def _generalized_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
-    """Channel-matched MRT over an i.i.d. Gaussian channel.
-
-    The per-trial channel is sorted by magnitude (the matched modulator's
-    canonical order); receive bookkeeping uses the sorted channel, which is
-    equivalent to un-permuting the antenna vector.  Returns
-    (x, gain, h_sorted, s_idx).
-    """
-    n_ant = cfg.n_antennas
-    h = _complex_normal(rngs[_CH], (RNG_BATCH, n_ant))[:n_use]
-    order = np.argsort(np.abs(h), axis=1, kind="stable")
-    hs = np.take_along_axis(h, order, axis=1).T        # (N, B) ascending |h|
-    s_idx = rngs[_SYM].integers(0, const.order, RNG_BATCH)[:n_use]
-    safe = cfg.modulator == "generalized" and cfg.amplitude_mode == "safe"
-    out = precoder.mrt_generalized(hs, const.points[s_idx],
-                                   amplitudes=None if safe else 1.0)
-    x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=hs)
-    return x, out.gains[:, 0], hs, s_idx
-
-
-def _kernel_single_path(cfg, const, power, rngs, n_use) -> _Counts:
-    x, gain, alpha, s_idx, a = _single_path_tx(cfg, const, rngs, n_use)
-    noise = _complex_normal(rngs[_NOISE], (RNG_BATCH,))[:n_use]
+def _kernel_single_user(cfg, const, power, rngs, n_use) -> _Counts:
+    x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use)
+    noise = _complex_normal(rngs[_NOISE], (n_use,))
     amp_scale = math.sqrt(power / (2.0 * cfg.n_antennas))
-    rx = amp_scale * alpha * (a @ x) + noise
     counts = _Counts(trials=n_use)
-    scale = 1.0 if const.kind == "psk" else amp_scale * gain
-    _tally(counts, rx, scale, s_idx, const)
-    return counts
-
-
-def _kernel_generalized(cfg, const, power, rngs, n_use) -> _Counts:
-    x, gain, hs, s_idx = _generalized_tx(cfg, const, rngs, n_use)
-    noise = _complex_normal(rngs[_NOISE], (RNG_BATCH,))[:n_use]
-    amp_scale = math.sqrt(power / (2.0 * cfg.n_antennas))
-    rx = amp_scale * np.einsum("nb,nb->b", hs, x) + noise
-    counts = _Counts(trials=n_use)
-    scale = 1.0 if const.kind == "psk" else amp_scale * gain
-    _tally(counts, rx, scale, s_idx, const)
+    _tally(counts, amp_scale * alpha * y + noise, amp_scale, gain, s_idx, const)
     return counts
 
 
@@ -195,7 +173,12 @@ def _kernel_generalized(cfg, const, power, rngs, n_use) -> _Counts:
 # ---------------------------------------------------------------------------
 
 def _draw_mu_channel(cfg: SimConfig, rng, n_use):
-    """Angles (radians) and complex gains for a batch of multi-user scenes."""
+    """Angles (radians) and complex gains for a batch of multi-user scenes.
+
+    Angles, phases and distances share one generator, so each draw takes a
+    full ``RNG_BATCH`` of trials: a shorter draw would shift the ones after
+    it.
+    """
     ch = cfg.channel
     k = ch.n_users
     if ch.angles_deg is not None:
@@ -239,8 +222,8 @@ def _kernel_multiuser(cfg, const, power, rngs, n_use) -> _Counts:
     k, t_len = cfg.channel.n_users, cfg.block_length
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
     angles, alpha = _draw_mu_channel(cfg, rngs[_CH], n_use)
-    s_idx = rngs[_SYM].integers(0, const.order, (RNG_BATCH, k, t_len))[:n_use]
-    noise = _complex_normal(rngs[_NOISE], (RNG_BATCH, k, t_len))[:n_use]
+    s_idx = rngs[_SYM].integers(0, const.order, (n_use, k, t_len))
+    noise = _complex_normal(rngs[_NOISE], (n_use, k, t_len))
     amp_scale = math.sqrt(power / (2.0 * cfg.n_antennas))
 
     counts = _Counts(trials=n_use)
@@ -261,21 +244,8 @@ def _kernel_multiuser(cfg, const, power, rngs, n_use) -> _Counts:
         x = _modulate(cfg, out.xbar, rngs[_DITHER])
         rx = amp_scale * alpha[sl][..., None] \
             * (steering @ np.moveaxis(x, 0, -2)) + noise[sl]
-        scale = 1.0 if const.kind == "psk" else amp_scale * out.gains[..., None]
-        _tally(counts, rx, scale, s_idx[sl], const)
+        _tally(counts, rx, amp_scale, out.gains[..., None], s_idx[sl], const)
     return counts
-
-
-_KERNELS = {
-    "mrt": _kernel_single_path,
-    "mrt_steered": _kernel_single_path,
-    "mrt_generalized": _kernel_generalized,
-    "zf": _kernel_multiuser,
-    "slp_primal": _kernel_multiuser,
-    "slp_dual": _kernel_multiuser,
-    "zf_qam": _kernel_multiuser,
-    "nullspace_zf": _kernel_multiuser,
-}
 
 
 def _theory_ser(cfg: SimConfig, const: Constellation, power: float) -> float:
@@ -286,15 +256,10 @@ def _theory_ser(cfg: SimConfig, const: Constellation, power: float) -> float:
     n, d = cfg.n_antennas, cfg.spacing_over_wavelength
     if cfg.scheme == "mrt" and cfg.modulator == "basic":
         snr = analysis.effective_snr_mrt(1.0, theta, power, 1.0, n, d)
-    elif cfg.scheme == "mrt_steered" and cfg.modulator == "steered":
-        phi = 2.0 * math.pi * d * math.sin(theta)
-        amp = modulator.no_overload_amplitude(phi)
-        snr = analysis.effective_snr_steered(1.0, amp, power, 1.0, n)
-    elif cfg.modulator == "unquantized":
-        amp = 1.0
-        if cfg.scheme == "mrt_steered":
-            phi = 2.0 * math.pi * d * math.sin(theta)
-            amp = modulator.no_overload_amplitude(phi)
+    elif cfg.modulator in ("steered", "unquantized"):
+        amp = precoder.mrt_arrays(ArrayGeometry(n, d), theta, 1.0, 1.0,
+                                  steered=cfg.scheme == "mrt_steered"
+                                  ).metadata["amplitude"]
         snr = analysis.effective_snr_steered(1.0, amp, power, 1.0, n)
     else:
         return math.nan
@@ -330,7 +295,8 @@ class SerCurve:
 def _run_point(cfg: SimConfig, point: int) -> tuple:
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
     power = 10.0 ** (cfg.snr_db[point] / 10.0)
-    kernel = _KERNELS[cfg.scheme]
+    kernel = _kernel_multiuser if cfg.channel.model == "multi_user" \
+        else _kernel_single_user
 
     totals = _Counts()
     block = 0
@@ -359,46 +325,31 @@ def run_ser(cfg: SimConfig, n_workers: int = 1) -> SerCurve:
     else:
         results = [_run_point(cfg, p) for p in points]
 
-    n_pts = len(cfg.snr_db)
-    ser = np.zeros(n_pts)
-    ber = np.full(n_pts, math.nan)
-    theory = np.zeros(n_pts)
-    ci = np.zeros(n_pts)
-    trials = np.zeros(n_pts, dtype=np.int64)
-    symbols = np.zeros(n_pts, dtype=np.int64)
-    serrs = np.zeros(n_pts, dtype=np.int64)
-    bits = np.zeros(n_pts, dtype=np.int64)
-    berrs = np.zeros(n_pts, dtype=np.int64)
-    nonconv = 0
-    for i, (counts, th) in enumerate(results):
-        ser[i] = counts.symbol_errors / counts.symbols
-        if counts.bits:
-            ber[i] = counts.bit_errors / counts.bits
-        theory[i] = th
-        ci[i] = 1.96 * math.sqrt(max(ser[i] * (1.0 - ser[i]), 0.0)
-                                 / counts.symbols)
-        trials[i] = counts.trials
-        symbols[i] = counts.symbols
-        serrs[i] = counts.symbol_errors
-        bits[i] = counts.bits
-        berrs[i] = counts.bit_errors
-        nonconv += counts.nonconverged
+    col = {f.name: np.array([getattr(c, f.name) for c, _ in results],
+                            dtype=np.int64) for f in fields(_Counts)}
+    ser = col["symbol_errors"] / col["symbols"]
+    ber = np.divide(col["bit_errors"], col["bits"], where=col["bits"] > 0,
+                    out=np.full(len(results), math.nan))
+    ci = 1.96 * np.sqrt(np.maximum(ser * (1.0 - ser), 0.0) / col["symbols"])
 
     return SerCurve(
         snr_db=np.asarray(cfg.snr_db, dtype=float),
-        ser=ser, ber=ber, theory_ser=theory, ci_halfwidth=ci,
-        trials=trials, symbols=symbols, symbol_errors=serrs,
-        bits=bits, bit_errors=berrs, nonconverged=nonconv,
+        ser=ser, ber=ber, theory_ser=np.array([th for _, th in results]),
+        ci_halfwidth=ci, trials=col["trials"], symbols=col["symbols"],
+        symbol_errors=col["symbol_errors"], bits=col["bits"],
+        bit_errors=col["bit_errors"],
+        nonconverged=int(col["nonconverged"].sum()),
         meta={"scheme": cfg.scheme, "modulator": cfg.modulator,
               "seed": cfg.seed},
     )
 
 
 def _require_single_user(cfg: SimConfig, what: str):
-    if cfg.scheme not in _SINGLE_USER_SCHEMES:
+    if cfg.channel.model == "multi_user":
+        names = [s for s, (model, _) in SCHEMES.items() if model != "multi_user"]
         raise ConfigError(
             f"config.scheme: {what} supports single-user schemes only "
-            f"({', '.join(_SINGLE_USER_SCHEMES)})")
+            f"({', '.join(names)})")
 
 
 def run_iq_scatter(cfg: SimConfig, n_realizations: Optional[int] = None):
@@ -417,14 +368,9 @@ def run_iq_scatter(cfg: SimConfig, n_realizations: Optional[int] = None):
     while done < n_total:
         n_use = min(RNG_BATCH, n_total - done)
         rngs = _streams(cfg.seed, _PURPOSE_SCATTER, 0, block)
-        if cfg.scheme == "mrt_generalized":
-            x, gain, hs, s_idx = _generalized_tx(cfg, const, rngs, n_use)
-            rx = np.einsum("nb,nb->b", hs, x) / gain
-        else:
-            x, gain, alpha, s_idx, a = _single_path_tx(cfg, const, rngs, n_use)
-            rx = alpha * (a @ x) / gain
+        x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use)
         sent.append(const.points[s_idx])
-        received.append(rx)
+        received.append(alpha * y / gain)
         done += n_use
         block += 1
     return np.concatenate(sent), np.concatenate(received)
@@ -444,7 +390,7 @@ def build_solve_instance(cfg: SimConfig):
     rngs = _streams(cfg.seed, _PURPOSE_SOLVE, 0, 0)
     angles, alpha = _draw_mu_channel(cfg, rngs[_CH], 1)
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
-    s_idx = rngs[_SYM].integers(0, const.order, (RNG_BATCH, cfg.channel.n_users))[0]
+    s_idx = rngs[_SYM].integers(0, const.order, cfg.channel.n_users)
     symbols = const.points[s_idx]
     scene = MultiUserScene(
         geometry=ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength),
@@ -479,10 +425,7 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
     while done < n_total:
         n_use = min(RNG_BATCH, n_total - done)
         rngs = _streams(cfg.seed, _PURPOSE_SPECTRUM, 0, block)
-        if cfg.scheme == "mrt_generalized":
-            x = _generalized_tx(cfg, const, rngs, n_use)[0]
-        else:
-            x = _single_path_tx(cfg, const, rngs, n_use)[0]
+        x = _single_user_tx(cfg, const, rngs, n_use)[0]
         power_sum += (np.abs(grid @ x) ** 2).sum(axis=1)
         done += n_use
         block += 1

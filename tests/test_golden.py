@@ -2,11 +2,14 @@
 
 Every shipped ``ser`` config runs at reduced size, plus dithered and
 channel-matched variants; ``spectrum_mrt`` pins the bytes of the CLI's
-``spectrum.csv`` and ``scatter.csv``.  A fixed seed must keep producing
-these bytes; a change that moves any of them has to say why.
+``spectrum.csv`` and ``scatter.csv``, and ``slp_multiuser`` pins the
+``solve.json`` of both margin solvers, iteration and restart counts
+included.  A fixed seed must keep producing these bytes; a change that
+moves any of them has to say why.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,30 @@ EXPECTED_ROWS = {
     ],
 }
 
+# slp_multiuser at its shipped seed 1, under each margin solver.
+EXPECTED_SOLVES = {
+    "slp_dual": {
+        "converged": True,
+        "dual_value": -44.25149728100601,
+        "duality_gap": 0.01009861267141332,
+        "iterations": 636,
+        "objective": -46.534187624173185,
+        "peak_rail": 1.0,
+        "restarts": 3,
+        "solver": "dual",
+        "worst_margin": 46.53418762417321,
+    },
+    "slp_primal": {
+        "converged": False,
+        "iterations": 2000,
+        "objective": -8.835920005455876,
+        "peak_rail": 0.3771200513042627,
+        "restarts": 0,
+        "solver": "primal",
+        "worst_margin": 8.835920005455874,
+    },
+}
+
 EXPECTED_DIGESTS = {
     "spectrum":
         "14d0ef4652854a078511db29aaec1d0fec84a8724166c60d9e74bca45c62a1d1",
@@ -127,16 +154,13 @@ def ser_config(name):
     return SimConfig.from_dict(_raw(*SER_CASES[name]))
 
 
-def artifact(tmp_path, command):
-    """Bytes of the CLI artifact for ``spectrum_mrt`` at 256 trials."""
-    raw = _raw("spectrum_mrt", {"spectrum": {"grid_deg": [-90, 90, 0.5],
-                                             "trials": 256},
-                                "scatter": {"realizations": 256}})
+def artifact(tmp_path, command, raw, name):
+    """Exit status and bytes of the artifact ``name`` of one CLI run."""
     cfg = tmp_path / f"{command}.yaml"
     cfg.write_text(yaml.safe_dump(raw))
     out = tmp_path / command
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-    return (out / f"{command}.csv").read_bytes()
+    status = main([command, "--config", str(cfg), "--out", str(out)])
+    return status, (out / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SER_CASES))
@@ -146,5 +170,25 @@ def test_ser_rows_are_pinned(name):
 
 @pytest.mark.parametrize("command", ["spectrum", "scatter"])
 def test_artifact_bytes_are_pinned(tmp_path, command):
-    digest = hashlib.sha256(artifact(tmp_path, command)).hexdigest()
-    assert digest == EXPECTED_DIGESTS[command]
+    raw = _raw("spectrum_mrt", {"spectrum": {"grid_deg": [-90, 90, 0.5],
+                                             "trials": 256},
+                                "scatter": {"realizations": 256}})
+    status, data = artifact(tmp_path, command, raw, f"{command}.csv")
+    assert status == 0
+    assert hashlib.sha256(data).hexdigest() == EXPECTED_DIGESTS[command]
+
+
+@pytest.mark.parametrize("scheme", sorted(EXPECTED_SOLVES))
+def test_solver_trajectories_are_pinned(tmp_path, scheme):
+    expected = EXPECTED_SOLVES[scheme]
+    status, data = artifact(tmp_path, "solve",
+                            _raw("slp_multiuser", {"scheme": scheme}),
+                            "solve.json")
+    assert status == (0 if expected["converged"] else 3)
+    doc = json.loads(data)
+    assert doc.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, float):
+            assert doc[key] == pytest.approx(value, rel=1e-12), key
+        else:
+            assert doc[key] == value, key
