@@ -1,14 +1,18 @@
 """Convex solvers for the minimax precoding designs.
 
-The central object is a piecewise-linear objective
-``f(x) = max_i (c_i^T x + d_i)`` minimized over a box (or unconstrained).
-Two solution paths are provided:
+The central object is the homogeneous piecewise-linear objective
+``f(x) = max_i c_i^T x`` minimized over a symmetric box.  Two solution
+paths are provided:
 
 * a primal accelerated projected gradient (APG) on the log-sum-exp smoothing
   of ``f``, with element-wise clipping as the projection, and
 * a dual APG on the Tikhonov-regularized problem, which lives on the unit
   simplex in only ``m`` variables and recovers the primal point in closed
   form through a Huber conjugacy identity.
+
+:func:`min_iq_inf_norm` runs the same APG loop on the peak rail of a complex
+vector over an affine set, with the gradient projected onto the nullspace
+of the constraint matrix.
 
 All solvers are vectorized over leading batch axes: ``coefficients`` may be
 ``(..., n, m)`` and every returned diagnostic carries the batch shape.
@@ -29,7 +33,6 @@ __all__ = [
     "DualApgResult",
     "stack_complex",
     "unstack_complex",
-    "stacked_real_basis",
     "smoothed_objective",
     "minimax_value",
     "spectral_norm_sq",
@@ -43,16 +46,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MinimaxProblem:
-    """``min_x max_i (c_i^T x + d_i)`` with c_i the columns of ``coefficients``.
+    """``min_x max_i c_i^T x`` with c_i the columns of ``coefficients``.
 
-    ``coefficients`` has shape ``(..., n, m)``; ``offsets`` is ``(..., m)`` or
-    None for the homogeneous case.  ``box`` is the symmetric bound on every
-    coordinate of x, or None for an unconstrained problem.
+    ``coefficients`` has shape ``(..., n, m)``; ``box`` is the symmetric
+    bound on every coordinate of x.
     """
 
     coefficients: np.ndarray
-    offsets: Optional[np.ndarray] = None
-    box: Optional[float] = 1.0
+    box: float = 1.0
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
@@ -61,20 +62,12 @@ class MinimaxProblem:
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
-        if self.offsets is not None:
-            d = np.asarray(self.offsets, dtype=float)
-            if d.shape[-1] != c.shape[-1]:
-                raise ValueError("offsets length must match the column count")
-            object.__setattr__(self, "offsets", d)
-        if self.box is not None and self.box <= 0:
+        if self.box <= 0:
             raise ValueError("box bound must be positive")
 
     @property
     def batch_shape(self) -> tuple:
-        lead = self.coefficients.shape[:-2]
-        if self.offsets is not None:
-            lead = np.broadcast_shapes(lead, self.offsets.shape[:-1])
-        return lead
+        return self.coefficients.shape[:-2]
 
 
 @dataclass(frozen=True)
@@ -85,22 +78,25 @@ class ApgParams:
     ``regularization`` the Tikhonov weight of the dual path.  The step size
     is the reciprocal Lipschitz constant of the relevant gradient, using a
     power-iteration estimate of the squared spectral norm inflated by
-    ``norm_inflation`` to stay on the safe side.  Momentum is reset whenever
-    the objective worsens (adaptive restart).
+    ``_NORM_INFLATION`` to stay on the safe side.  Momentum is reset
+    whenever the objective worsens (adaptive restart).
     """
 
     smoothing: float = 0.05
     regularization: float = 0.005
     tol: float = 1e-5
     max_iters: int = 2000
-    restart: bool = True
-    norm_inflation: float = 1.02
 
     def __post_init__(self):
         if self.smoothing <= 0 or self.regularization <= 0:
             raise ValueError("smoothing and regularization must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+
+
+# Safety factor on squared operator norms: power iteration approaches the
+# true value from below.
+_NORM_INFLATION = 1.02
 
 
 @dataclass(frozen=True)
@@ -138,59 +134,38 @@ def unstack_complex(x: np.ndarray) -> np.ndarray:
     return x[..., :n] + 1j * x[..., n:]
 
 
-def stacked_real_basis(b: np.ndarray) -> np.ndarray:
-    """Real 2N x 2M block matrix acting as ``b`` does on stacked vectors."""
-    b = np.asarray(b, dtype=complex)
-    top = np.concatenate([b.real, -b.imag], axis=-1)
-    bot = np.concatenate([b.imag, b.real], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
-def _colspace(c: np.ndarray, x: np.ndarray, offsets) -> np.ndarray:
-    """z_i = c_i^T x + d_i, batched: (..., m)."""
-    if c.ndim == 2 and x.ndim > 1:
-        # Shared coefficients across instances: one big product beats a
-        # broadcasted loop of vector-matrix calls.
-        z = (x.reshape(-1, x.shape[-1]) @ c).reshape(x.shape[:-1] + (c.shape[-1],))
-    else:
-        z = np.matmul(x[..., None, :], c)[..., 0, :]
-    if offsets is not None:
-        z = z + offsets
-    return z
-
-
-def _combine(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i weights_i c_i, batched: (..., n)."""
-    if c.ndim == 2 and weights.ndim > 1:
-        flat = weights.reshape(-1, weights.shape[-1]) @ c.T
-        return flat.reshape(weights.shape[:-1] + (c.shape[-2],))
-    return np.matmul(c, weights[..., None])[..., 0]
+def _colspace(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """z_i = c_i^T x, batched: (..., m)."""
+    return np.matmul(x[..., None, :], c)[..., 0, :]
 
 
 def minimax_value(problem: MinimaxProblem, x: np.ndarray) -> np.ndarray:
-    """Exact objective ``max_i (c_i^T x + d_i)``."""
-    return _colspace(problem.coefficients, np.asarray(x, dtype=float),
-                     problem.offsets).max(axis=-1)
+    """Exact objective ``max_i c_i^T x``."""
+    return _colspace(problem.coefficients,
+                     np.asarray(x, dtype=float)).max(axis=-1)
 
 
-def smoothed_objective(coefficients, x, smoothing, offsets=None):
-    """Log-sum-exp smoothing of the minimax objective and its exact gradient.
-
-    Returns ``(value, gradient)`` with
-    ``value = mu * log(sum_i exp((c_i^T x + d_i)/mu))`` computed with max
-    subtraction for stability; the gradient is the softmax-weighted column
-    combination.  The value over-estimates the true maximum by at most
-    ``mu * log(m)``.
-    """
-    c = np.asarray(coefficients, dtype=float)
-    x = np.asarray(x, dtype=float)
-    z = _colspace(c, x, offsets)
+def _log_sum_exp(z, smoothing):
+    """``mu * log(sum_i exp(z_i/mu))`` over the last axis, with max
+    subtraction for stability, and its gradient, the softmax weights."""
     zmax = z.max(axis=-1, keepdims=True)
     w = np.exp((z - zmax) / smoothing)
     wsum = w.sum(axis=-1, keepdims=True)
-    value = zmax[..., 0] + smoothing * np.log(wsum[..., 0])
-    grad = _combine(c, w / wsum)
-    return value, grad
+    return zmax[..., 0] + smoothing * np.log(wsum[..., 0]), w / wsum
+
+
+def smoothed_objective(coefficients, x, smoothing):
+    """Log-sum-exp smoothing of the minimax objective and its exact gradient.
+
+    Returns ``(value, gradient)`` with
+    ``value = mu * log(sum_i exp(c_i^T x / mu))``; the gradient is the
+    softmax-weighted column combination.  The value over-estimates the true
+    maximum by at most ``mu * log(m)``.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    value, w = _log_sum_exp(_colspace(c, np.asarray(x, dtype=float)),
+                            smoothing)
+    return value, np.matmul(c, w[..., None])[..., 0]
 
 
 def spectral_norm_sq(coefficients, max_iters=200, tol=1e-7) -> np.ndarray:
@@ -228,12 +203,6 @@ def spectral_norm_sq(coefficients, max_iters=200, tol=1e-7) -> np.ndarray:
     return lam if lam.ndim else float(lam)
 
 
-def _clip_box(x, box):
-    if box is None:
-        return x
-    return np.clip(x, -box, box)
-
-
 def _apg(x0, step, params: ApgParams, value_grad, project):
     """FISTA with adaptive restart, minimizing over a projected set, batched.
 
@@ -263,10 +232,9 @@ def _apg(x0, step, params: ApgParams, value_grad, project):
         x_new = np.where(active[..., None], x_new, x)
         f_new, _ = value_grad(x_new)
 
-        if params.restart:
-            worse = active & (f_new > f_cur)
-            t = np.where(worse, 1.0, t)
-            restarts += worse
+        worse = active & (f_new > f_cur)
+        t = np.where(worse, 1.0, t)
+        restarts += worse
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = ((t - 1.0) / t_new)[..., None]
         x_ex = x_new + beta * (x_new - x)
@@ -281,33 +249,28 @@ def _apg(x0, step, params: ApgParams, value_grad, project):
 
 
 def primal_apg(problem: MinimaxProblem, params: ApgParams,
-               x0: Optional[np.ndarray] = None,
-               norm_sq: Optional[np.ndarray] = None) -> ApgResult:
+               x0: Optional[np.ndarray] = None) -> ApgResult:
     """Accelerated gradient on the smoothed objective with box clipping.
 
     Starts from ``x0`` (zero when omitted) and stops per instance once the
     iterate displacement drops below ``params.tol`` in the 2-norm, or flags
     non-convergence at the iteration cap.  Momentum restarts whenever the
-    smoothed objective rises.  ``norm_sq`` may carry a precomputed squared
-    spectral norm (e.g. across warm-started re-solves of one problem).
+    smoothed objective rises.
     """
     c = problem.coefficients
-    d = problem.offsets
     mu = params.smoothing
     n = c.shape[-2]
     if x0 is None:
         x0 = np.zeros(problem.batch_shape + (n,))
     lead = np.broadcast_shapes(problem.batch_shape, x0.shape[:-1])
 
-    if norm_sq is None:
-        norm_sq = np.asarray(spectral_norm_sq(c))
-    norm_sq = np.asarray(norm_sq) * params.norm_inflation
+    norm_sq = np.asarray(spectral_norm_sq(c)) * _NORM_INFLATION
     step = mu / np.maximum(norm_sq, 1e-300)
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), lead + (n,)).copy()
     x, f_cur, iterations, converged, restarts = _apg(
-        x, step, params, lambda v: smoothed_objective(c, v, mu, d),
-        lambda v: _clip_box(v, problem.box))
+        x, step, params, lambda v: smoothed_objective(c, v, mu),
+        lambda v: np.clip(v, -problem.box, problem.box))
     return ApgResult(x=x, value=minimax_value(problem, x), smoothed_value=f_cur,
                      iterations=iterations, converged=converged,
                      restarts=restarts)
@@ -338,47 +301,43 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta[..., None], 0.0)
 
 
-def _dual_value_and_grad(c, d, lam, tau):
+def _dual_value_and_grad(c, lam, tau):
     """Concave dual objective and gradient; x(lam) is the clipped scaled column mix."""
     y = np.matmul(c, lam[..., None])[..., 0]
     x = np.clip(-y / tau, -1.0, 1.0)
     value = -huber(y, tau).sum(axis=-1)
     grad = np.matmul(x[..., None, :], c)[..., 0, :]
-    if d is not None:
-        value = value + (lam * d).sum(axis=-1)
-        grad = grad + d
     return value, grad, x
 
 
 def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
     """Simplex-constrained APG on the dual of the regularized minimax problem.
 
-    Maximizes ``g(lam) = -sum_i huber((C lam)_i, tau)`` (plus the offset term
-    when present) over the unit simplex and recovers the box point
+    Maximizes ``g(lam) = -sum_i huber((C lam)_i, tau)`` over the unit
+    simplex and recovers the box point
     ``x = clip(-C lam / tau)``, which is the unique minimizer of the strongly
     convex inner problem.  ``gap = primal - dual`` at the final iterate is
     nonnegative up to roundoff and shrinks to zero at optimality.
     """
-    if problem.box is None or problem.box != 1.0:
+    if problem.box != 1.0:
         raise ValueError("the dual path requires the unit box")
     c = problem.coefficients
-    d = problem.offsets
     tau = params.regularization
     lead = problem.batch_shape
     m = c.shape[-1]
 
-    norm_sq = np.asarray(spectral_norm_sq(c)) * params.norm_inflation
+    norm_sq = np.asarray(spectral_norm_sq(c)) * _NORM_INFLATION
     step = tau / np.maximum(norm_sq, 1e-300)
 
     def negated(lam):
         # Maximizing g is minimizing -g; negation is exact, so the iterates
         # are those of ascent on g itself.
-        value, grad, _ = _dual_value_and_grad(c, d, lam, tau)
+        value, grad, _ = _dual_value_and_grad(c, lam, tau)
         return -value, -grad
 
     lam, _, iterations, converged, restarts = _apg(
         np.full(lead + (m,), 1.0 / m), step, params, negated, project_simplex)
-    g_val, _, x = _dual_value_and_grad(c, d, lam, tau)
+    g_val, _, x = _dual_value_and_grad(c, lam, tau)
     primal = minimax_value(problem, x) + 0.5 * tau * (x * x).sum(axis=-1)
     return DualApgResult(multipliers=lam, x=x, dual_value=g_val,
                          primal_value=primal, gap=primal - g_val,
@@ -386,38 +345,40 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
                          restarts=restarts)
 
 
-def min_iq_inf_norm(r: np.ndarray, basis: np.ndarray,
+def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
                     params: Optional[ApgParams] = None,
                     ) -> Tuple[np.ndarray, ApgResult]:
-    """Minimize ``max(|Re|, |Im|)`` of ``r + basis @ xi`` over complex ``xi``.
+    """Minimize the peak rail of ``v`` subject to ``steering @ v = steering @ r``.
 
-    ``r`` is ``(..., N)`` and ``basis`` ``(N, M)`` with orthonormal columns;
-    leading axes of ``r`` are independent instances sharing the basis.  The
-    problem is restated as an unconstrained affine minimax over stacked reals
-    and handed to the smoothed APG, warm-started through a short smoothing
-    continuation so the final temperature controls accuracy.  The zero point
-    is always a fallback: the returned objective never exceeds the norm of
-    ``r`` itself.
+    The peak rail is ``max(|Re|, |Im|)`` over the entries.  ``r`` is
+    ``(..., N)`` and ``steering`` a full-rank ``(K, N)`` matrix with
+    ``K <= N``; leading axes of ``r`` are independent instances sharing it.
+    The APG runs on the stacked reals of ``v`` from ``r``, with the
+    log-sum-exp of ``[Re v, Im v, -Re v, -Im v]`` as the objective and its
+    gradient projected onto the nullspace of ``steering`` (the projector
+    comes from one thin QR), so every iterate stays feasible.  A short
+    smoothing continuation warm-starts each stage, so the final temperature
+    controls accuracy.  ``r`` itself is always a fallback: the returned
+    objective never exceeds its peak rail.  Returns ``v`` and the result of
+    the last stage, whose ``x`` is the stacked ``v``.
     """
     r = np.asarray(r, dtype=complex)
-    basis = np.asarray(basis, dtype=complex)
-    n_free = basis.shape[-1]
-    baseline = np.maximum(np.abs(r.real), np.abs(r.imag)).max(axis=-1)
-    if n_free == 0:
-        zero = np.zeros(r.shape[:-1] + (0,), dtype=complex)
-        dummy = np.zeros(r.shape[:-1])
-        return zero, ApgResult(
-            x=np.zeros(r.shape[:-1] + (0,)), value=baseline,
-            smoothed_value=baseline, iterations=dummy.astype(np.int64),
-            converged=np.ones(r.shape[:-1], dtype=bool),
-            restarts=dummy.astype(np.int64))
+    steering = np.asarray(steering, dtype=complex)
+    k, n = steering.shape
+    q, upper = np.linalg.qr(np.conj(steering).T)
+    diag = np.abs(np.diagonal(upper))
+    if diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
+        raise ValueError("steering matrix is rank deficient")
+    q_conj = np.conj(q)
 
-    g = stacked_real_basis(basis)                 # (2N, 2M)
+    def value_grad(x, mu):
+        value, w = _log_sum_exp(np.concatenate([x, -x], axis=-1), mu)
+        g = unstack_complex(w[..., :2 * n] - w[..., 2 * n:])
+        return value, stack_complex(g - (g @ q_conj) @ q.T)
+
     rr = stack_complex(r)                         # (..., 2N)
-    c = np.concatenate([g.T, -g.T], axis=-1)      # (2M, 4N)
-    offsets = np.concatenate([rr, -rr], axis=-1)  # (..., 4N)
-
-    scale = float(np.max(np.abs(rr))) or 1.0
+    baseline = np.abs(rr).max(axis=-1)
+    scale = float(np.max(baseline)) or 1.0
     if params is None:
         params = ApgParams(smoothing=1e-3 * scale, tol=1e-6 * scale,
                            max_iters=1500)
@@ -428,24 +389,22 @@ def min_iq_inf_norm(r: np.ndarray, basis: np.ndarray,
     while stages[-1] < 0.02 * scale:
         stages.append(stages[-1] * 5.0)
     stages.reverse()
-    problem = MinimaxProblem(coefficients=c, offsets=offsets, box=None)
 
-    x0 = np.zeros(offsets.shape[:-1] + (2 * n_free,))
-    norm_sq = spectral_norm_sq(c)
-    result = None
+    x = rr
     for mu in stages:
         iters = params.max_iters if mu == stages[-1] \
             else max(1, params.max_iters // 2)
-        result = primal_apg(problem, replace(params, smoothing=mu,
-                                             max_iters=iters),
-                            x0, norm_sq=norm_sq)
-        x0 = result.x
+        # ||[I; -I]||^2 = 2, and the projector does not raise it.
+        x, f_cur, iterations, converged, restarts = _apg(
+            x, mu / (2.0 * _NORM_INFLATION), replace(params, max_iters=iters),
+            lambda v: value_grad(v, mu), lambda v: v)
 
-    # Falling back to xi = 0 whenever the solver did worse keeps the
-    # minimized norm at or below the unassisted one on every instance.
-    use_zero = result.value > baseline
-    x = np.where(use_zero[..., None], 0.0, result.x)
-    result = replace(result, x=x,
-                     value=np.where(use_zero, baseline, result.value))
-    xi = x[..., :n_free] + 1j * x[..., n_free:]
-    return xi, result
+    # Falling back to r whenever the solver did worse keeps the minimized
+    # norm at or below the unassisted one on every instance.
+    value = np.abs(x).max(axis=-1)
+    fallback = value > baseline
+    x = np.where(fallback[..., None], rr, x)
+    result = ApgResult(x=x, value=np.where(fallback, baseline, value),
+                       smoothed_value=f_cur, iterations=iterations,
+                       converged=converged, restarts=restarts)
+    return unstack_complex(x), result

@@ -261,8 +261,9 @@ def nullspace_zf_arrays(steering, gains, noise_std, symbols,
     Shapes as in :func:`zf_arrays`.  Adding a vector from the steering
     nullspace leaves every receive signal untouched but can cancel
     transmit-side amplitude, raising the common scale ``gamma``.  Each symbol
-    time solves an unconstrained peak-rail minimization; the zero component
-    is always a fallback, so ``gamma`` never falls below the plain block
+    time minimizes its peak rail over the transmit vectors with the same
+    steering image (:func:`optim.min_iq_inf_norm`); the zero component is
+    always a fallback, so ``gamma`` never falls below the plain block
     zero-forcing one.  ``params`` is an ``optim.ApgParams``, or a function
     of a block's zero-forcing peak returning one; scenes are solved one at a
     time because the solver scales its smoothing schedule to each block.
@@ -274,10 +275,9 @@ def nullspace_zf_arrays(steering, gains, noise_std, symbols,
     converged = np.empty(batch, dtype=bool)
     iterations = np.empty(batch, dtype=np.int64)
     for i in np.ndindex(batch):
-        basis = nullspace_basis(steering[i])
         p = params(float(iq_inf_norm(v[i]))) if callable(params) else params
-        xi, solve = optim.min_iq_inf_norm(v[i].T, basis, params=p)
-        shaved[i] = (v[i].T + xi @ basis.T).T
+        x, solve = optim.min_iq_inf_norm(v[i].T, steering[i], params=p)
+        shaved[i] = x.T
         peak[i] = np.max(solve.value)
         converged[i] = np.all(solve.converged)
         iterations[i] = np.max(solve.iterations)

@@ -34,8 +34,9 @@ from ..channel import (
     make_constellation,
     steering_matrix,
 )
-# bench/tracing.py times these by patching them on this module, so the names
-# stay importable here although the precoders now call them.
+# Imported for bench/tracing.py only, which times these by patching them on
+# this module; the precoders call the first two, and no precoder calls
+# nullspace_basis.
 from ..precoder import (  # noqa: F401
     iq_inf_norm,
     minimax_coefficients,

@@ -4,19 +4,24 @@ Every shipped ``ser`` config runs at reduced size, plus dithered and
 channel-matched variants; ``spectrum_mrt`` pins the bytes of the CLI's
 ``spectrum.csv`` and ``scatter.csv``, and ``slp_multiuser`` pins the
 ``solve.json`` of both margin solvers, iteration and restart counts
-included.  A fixed seed must keep producing these bytes; a change that
-moves any of them has to say why.
+included; one nullspace block pins the peak-shaving solve itself, which
+the coarse error rates would not notice.  A fixed seed must keep producing
+these bytes; a change that moves any of them has to say why.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from sdprecode import analysis, precoder
+from sdprecode.channel import ArrayGeometry, make_constellation, steering_matrix
 from sdprecode.cli import main
 from sdprecode.sim import SimConfig, run_ser
+from sdprecode.sim.config import SolverSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -192,3 +197,33 @@ def test_solver_trajectories_are_pinned(tmp_path, scheme):
             assert doc[key] == pytest.approx(value, rel=1e-12), key
         else:
             assert doc[key] == value, key
+
+
+# One 256 x 16 x 100 block of nullspace_qam_block at its shipped solver
+# settings, seed 5, 17 dB.
+EXPECTED_SHAVE = {"gamma": 16.68213000260464, "iterations": 120,
+                  "converged": False}
+
+
+def test_peak_shaving_is_pinned():
+    rng = np.random.default_rng(5)
+    n, k, t_len = 256, 16, 100
+    # Angles in [-30, 30] degrees at least 1 degree apart; path-loss gains.
+    angles = np.deg2rad(-30.0 + np.sort(rng.uniform(0.0, 60.0 - (k - 1), k))
+                        + np.arange(k))
+    gains = (30.0 / rng.uniform(20.0, 100.0, k)) \
+        * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+    power = 10.0 ** 1.7
+    noise_std = np.sqrt(analysis.noise_variance_single(
+        gains, angles, power, 1.0, 0.125))
+    symbols = make_constellation("qam", 16).points[
+        rng.integers(0, 16, (k, t_len))]
+    spec = SolverSpec(nullspace_max_iters=120, nullspace_smoothing_rel=4e-3)
+    out = precoder.nullspace_zf_arrays(
+        steering_matrix(ArrayGeometry(n, 0.125), angles), gains, noise_std,
+        symbols, params=lambda peak: spec.apg_params("nullspace", peak))
+    meta = out.metadata
+    assert float(meta["gamma"]) == pytest.approx(EXPECTED_SHAVE["gamma"],
+                                                 rel=1e-12)
+    assert int(meta["iterations"]) == EXPECTED_SHAVE["iterations"]
+    assert bool(meta["converged"]) == EXPECTED_SHAVE["converged"]

@@ -21,22 +21,35 @@ from sdprecode.optim import (
     smoothed_objective,
     spectral_norm_sq,
     stack_complex,
-    stacked_real_basis,
     unstack_complex,
 )
 
 
-def lp_box_minimax(coeffs, offsets=None, box=1.0):
-    """HiGHS oracle for min over the box of max_i (c_i^T x + d_i)."""
+def lp_box_minimax(coeffs):
+    """HiGHS oracle for min over the unit box of max_i c_i^T x."""
     n, m = coeffs.shape
     a_ub = np.hstack([coeffs.T, -np.ones((m, 1))])
-    b_ub = -offsets if offsets is not None else np.zeros(m)
-    bounds = [(-box, box)] * n + [(None, None)] if box is not None \
-        else [(None, None)] * (n + 1)
-    res = linprog(c=[0.0] * n + [1.0], A_ub=a_ub, b_ub=b_ub, bounds=bounds,
-                  method="highs")
+    res = linprog(c=[0.0] * n + [1.0], A_ub=a_ub, b_ub=np.zeros(m),
+                  bounds=[(-1.0, 1.0)] * n + [(None, None)], method="highs")
     assert res.success
     return res.fun, res.x[:n]
+
+
+def lp_min_iq_inf_norm(r, steering):
+    """HiGHS oracle for min max(|Re v|, |Im v|) s.t. steering @ v = steering @ r,
+    over the stacked reals of v and the peak t."""
+    n = r.size
+    real = np.block([[steering.real, -steering.imag],
+                     [steering.imag, steering.real]])
+    eye = np.eye(2 * n)
+    ones = np.ones((2 * n, 1))
+    a_ub = np.block([[eye, -ones], [-eye, -ones]])
+    a_eq = np.hstack([real, np.zeros((real.shape[0], 1))])
+    res = linprog(c=[0.0] * (2 * n) + [1.0], A_ub=a_ub, b_ub=np.zeros(4 * n),
+                  A_eq=a_eq, b_eq=real @ stack_complex(r),
+                  bounds=[(None, None)] * (2 * n + 1), method="highs")
+    assert res.success
+    return res.fun
 
 
 def simplex_projection_oracle(v):
@@ -270,7 +283,7 @@ class TestDualApg:
             return -huber(y, tau).sum()
 
         from sdprecode.optim import _dual_value_and_grad
-        _, grad, _ = _dual_value_and_grad(c, None, lam, tau)
+        _, grad, _ = _dual_value_and_grad(c, lam, tau)
         eps = 1e-7
         for i in range(5):
             e = np.zeros(5)
@@ -279,57 +292,61 @@ class TestDualApg:
             assert abs(fd - grad[i]) <= 1e-5 * max(1.0, abs(grad[i]))
 
     def test_requires_unit_box(self):
-        prob = MinimaxProblem(coefficients=np.eye(3), box=None)
+        prob = MinimaxProblem(coefficients=np.eye(3), box=2.0)
         with pytest.raises(ValueError):
             dual_apg(prob, ApgParams())
 
 
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestMinIqInfNorm:
-    def test_empty_basis_returns_plain_norm(self):
+    def test_empty_nullspace_returns_plain_norm(self):
         r = np.array([0.3 + 0.8j, -0.2 + 0.1j])
-        xi, res = min_iq_inf_norm(r, np.zeros((2, 0), dtype=complex))
-        assert xi.shape == (0,)
+        steering = np.array([[1.0, 0.5j], [-0.3, 2.0]])
+        v, res = min_iq_inf_norm(r, steering)
+        np.testing.assert_allclose(v, r, atol=1e-12)
         assert res.value == pytest.approx(0.8)
 
     def test_exact_cancellation_in_range(self):
+        # r lies in the nullspace of the steering rows, so v = 0 is feasible.
         rng = np.random.default_rng(12)
-        q, _ = np.linalg.qr(rng.normal(size=(8, 3))
-                            + 1j * rng.normal(size=(8, 3)))
-        w = rng.normal(size=3) + 1j * rng.normal(size=3)
-        r = q @ w
-        xi, res = min_iq_inf_norm(r, q)
+        q, _ = np.linalg.qr(_complex_normal(rng, (8, 8)))
+        w = _complex_normal(rng, 3)
+        r = q[:, :3] @ w
+        v, res = min_iq_inf_norm(r, q[:, 3:].conj().T)
         assert res.value <= 1e-4 * np.abs(r).max()
-        np.testing.assert_allclose(xi, -w, atol=1e-3 * np.abs(w).max())
+        np.testing.assert_allclose(v, 0.0, atol=1e-3 * np.abs(w).max())
 
     def test_never_worse_than_zero_point(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            q, _ = np.linalg.qr(rng.normal(size=(12, 5))
-                                + 1j * rng.normal(size=(12, 5)))
-            r = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
-            _, res = min_iq_inf_norm(r, q)
+            steering = _complex_normal(rng, (7, 12))
+            r = _complex_normal(rng, (4, 12))
+            v, res = min_iq_inf_norm(r, steering)
             base = np.maximum(np.abs(r.real), np.abs(r.imag)).max(axis=-1)
             assert np.all(res.value <= base + 1e-12)
+            np.testing.assert_allclose(v @ steering.T, r @ steering.T,
+                                       atol=1e-12 * np.abs(r).max())
 
     def test_matches_lp_oracle(self):
         rng = np.random.default_rng(14)
         n, k = 16, 4
-        a = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
-        _, _, vh = np.linalg.svd(a, full_matrices=True)
-        basis = vh[k:].conj().T
-        r = rng.normal(size=n) + 1j * rng.normal(size=n)
+        steering = _complex_normal(rng, (k, n))
+        r = _complex_normal(rng, n)
+        f_lp = lp_min_iq_inf_norm(r, steering)
 
-        g = stacked_real_basis(basis)
-        rr = stack_complex(r)
-        coeffs = np.concatenate([g.T, -g.T], axis=-1)
-        offsets = np.concatenate([rr, -rr])
-        f_lp, _ = lp_box_minimax(coeffs, offsets=offsets, box=None)
-
-        scale = np.abs(rr).max()
+        scale = np.abs(stack_complex(r)).max()
         _, res = min_iq_inf_norm(
-            r, basis, ApgParams(smoothing=2e-6 * scale, tol=1e-10 * scale,
-                                max_iters=20000))
+            r, steering, ApgParams(smoothing=2e-6 * scale, tol=1e-10 * scale,
+                                   max_iters=20000))
         assert abs(res.value - f_lp) <= 1e-4 * (1.0 + abs(f_lp))
+
+    def test_rank_deficient_steering_rejected(self):
+        row = np.exp(1j * np.arange(6))
+        with pytest.raises(ValueError, match="rank deficient"):
+            min_iq_inf_norm(np.ones(6), np.stack([row, 2.0 * row]))
 
 
 class TestStacking:
@@ -337,10 +354,3 @@ class TestStacking:
         rng = np.random.default_rng(15)
         z = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
         np.testing.assert_array_equal(unstack_complex(stack_complex(z)), z)
-
-    def test_stacked_basis_action(self):
-        rng = np.random.default_rng(16)
-        b = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        lhs = stacked_real_basis(b) @ stack_complex(xi)
-        np.testing.assert_allclose(lhs, stack_complex(b @ xi), atol=1e-12)

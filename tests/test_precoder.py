@@ -191,12 +191,17 @@ class TestZfPrecode:
         oracle /= iq_inf_norm(oracle)
         np.testing.assert_allclose(out.xbar, oracle, atol=1e-8)
 
-    def test_coincident_angles_rejected(self):
+    @pytest.mark.parametrize("design, symbols", [
+        (zf_precode, np.ones(2)),
+        (zf_precode_qam_block, np.ones((2, 3))),
+        (nullspace_zf, np.ones((2, 3))),
+    ], ids=["zf_precode", "zf_precode_qam_block", "nullspace_zf"])
+    def test_coincident_angles_rejected(self, design, symbols):
         g = ArrayGeometry(16, 0.5)
         chans = (SinglePathChannel(1.0, 0.3), SinglePathChannel(1.0j, 0.3))
         scene = MultiUserScene(g, chans, 4.0, 1.0)
         with pytest.raises(ValueError):
-            zf_precode(scene, np.array([1.0, 1.0]))
+            design(scene, symbols)
 
     def test_all_zero_symbols_rejected(self):
         rng = np.random.default_rng(5)
