@@ -1,8 +1,9 @@
 """Convex solvers for the minimax precoding designs.
 
 The central object is the homogeneous piecewise-linear objective
-``f(x) = max_i c_i^T x`` minimized over a symmetric box.  Two solution
-paths are provided:
+``f(x) = max_i c_i^T x`` minimized over the unit box.  Two solution
+paths are provided, each stepping at the reciprocal of its gradient's
+exact Lipschitz constant:
 
 * a primal accelerated projected gradient (APG) on the log-sum-exp smoothing
   of ``f``, with element-wise clipping as the projection, and
@@ -46,14 +47,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MinimaxProblem:
-    """``min_x max_i c_i^T x`` with c_i the columns of ``coefficients``.
-
-    ``coefficients`` has shape ``(..., n, m)``; ``box`` is the symmetric
-    bound on every coordinate of x.
-    """
+    """``min_x max_i c_i^T x`` over the unit box ``|x_j| <= 1``, with c_i
+    the columns of ``coefficients``, of shape ``(..., n, m)``."""
 
     coefficients: np.ndarray
-    box: float = 1.0
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
@@ -62,8 +59,6 @@ class MinimaxProblem:
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
-        if self.box <= 0:
-            raise ValueError("box bound must be positive")
 
     @property
     def batch_shape(self) -> tuple:
@@ -72,14 +67,14 @@ class MinimaxProblem:
 
 @dataclass(frozen=True)
 class ApgParams:
-    """Step and stopping knobs shared by the primal and dual solvers.
+    """Step and stopping knobs shared by the solvers.
 
     ``smoothing`` is the log-sum-exp temperature of the primal path;
     ``regularization`` the Tikhonov weight of the dual path.  The step size
-    is the reciprocal Lipschitz constant of the relevant gradient, using a
-    power-iteration estimate of the squared spectral norm inflated by
-    ``_NORM_INFLATION`` to stay on the safe side.  Momentum is reset
-    whenever the objective worsens (adaptive restart).
+    is the reciprocal Lipschitz constant of the relevant gradient, from the
+    exact squared spectral norm.  Momentum is reset whenever the objective
+    worsens (adaptive restart).  :func:`min_iq_inf_norm` reads
+    ``smoothing`` and ``tol`` as fractions of the peak rail of its input.
     """
 
     smoothing: float = 0.05
@@ -94,16 +89,10 @@ class ApgParams:
             raise ValueError("max_iters must be >= 1")
 
 
-# Safety factor on squared operator norms: power iteration approaches the
-# true value from below.
-_NORM_INFLATION = 1.02
-
-
 @dataclass(frozen=True)
 class ApgResult:
     x: np.ndarray
     value: np.ndarray          # true piecewise-linear objective at x
-    smoothed_value: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     restarts: np.ndarray
@@ -168,38 +157,13 @@ def smoothed_objective(coefficients, x, smoothing):
     return value, np.matmul(c, w[..., None])[..., 0]
 
 
-def spectral_norm_sq(coefficients, max_iters=200, tol=1e-7) -> np.ndarray:
-    """Power-iteration estimate of the squared spectral norm, batched.
-
-    Deterministic ramp start; iterates on the Gram operator of the smaller
-    side.  The estimate approaches the true value from below, which is why
-    step-size users inflate it slightly.
-    """
+def spectral_norm_sq(coefficients) -> np.ndarray:
+    """Squared spectral norm, batched: the largest eigenvalue of the Gram
+    matrix of the smaller side."""
     c = np.asarray(coefficients, dtype=float)
-    n, m = c.shape[-2:]
-    lead = c.shape[:-2]
-    work_small = m <= n
-
-    dim = m if work_small else n
-    v = 1.0 + np.arange(dim) / dim
-    v = np.broadcast_to(v / np.linalg.norm(v), lead + (dim,)).copy()
-
-    lam = np.zeros(lead)
-    for _ in range(max_iters):
-        if work_small:
-            w = np.matmul(c, v[..., None])[..., 0]
-            lam_new = np.einsum("...n,...n->...", w, w)
-            v = np.matmul(w[..., None, :], c)[..., 0, :]
-        else:
-            w = np.matmul(v[..., None, :], c)[..., 0, :]
-            lam_new = np.einsum("...n,...n->...", w, w)
-            v = np.matmul(c, w[..., None])[..., 0]
-        norm = np.linalg.norm(v, axis=-1, keepdims=True)
-        v = v / np.maximum(norm, 1e-300)
-        if np.all(np.abs(lam_new - lam) <= tol * np.maximum(lam_new, 1e-300)):
-            lam = lam_new
-            break
-        lam = lam_new
+    ct = c.swapaxes(-1, -2)
+    gram = ct @ c if c.shape[-1] <= c.shape[-2] else c @ ct
+    lam = np.linalg.eigvalsh(gram)[..., -1]
     return lam if lam.ndim else float(lam)
 
 
@@ -211,7 +175,7 @@ def _apg(x0, step, params: ApgParams, value_grad, project):
     ``project`` maps a point back onto the feasible set.  Each instance
     stops once the iterate moves less than ``params.tol`` in the 2-norm, or
     runs to the cap; momentum restarts whenever the objective rises.
-    Returns ``(x, value, iterations, converged, restarts)``.
+    Returns ``(x, iterations, converged, restarts)``.
     """
     lead = x0.shape[:-1]
     step = np.broadcast_to(step, lead)[..., None]
@@ -245,7 +209,7 @@ def _apg(x0, step, params: ApgParams, value_grad, project):
         x = x_new
         t = t_new
         f_cur = np.where(active, f_new, f_cur)
-    return x, f_cur, iterations, converged, restarts
+    return x, iterations, converged, restarts
 
 
 def primal_apg(problem: MinimaxProblem, params: ApgParams,
@@ -264,14 +228,13 @@ def primal_apg(problem: MinimaxProblem, params: ApgParams,
         x0 = np.zeros(problem.batch_shape + (n,))
     lead = np.broadcast_shapes(problem.batch_shape, x0.shape[:-1])
 
-    norm_sq = np.asarray(spectral_norm_sq(c)) * _NORM_INFLATION
-    step = mu / np.maximum(norm_sq, 1e-300)
+    step = mu / np.maximum(spectral_norm_sq(c), 1e-300)
 
     x = np.broadcast_to(np.asarray(x0, dtype=float), lead + (n,)).copy()
-    x, f_cur, iterations, converged, restarts = _apg(
+    x, iterations, converged, restarts = _apg(
         x, step, params, lambda v: smoothed_objective(c, v, mu),
-        lambda v: np.clip(v, -problem.box, problem.box))
-    return ApgResult(x=x, value=minimax_value(problem, x), smoothed_value=f_cur,
+        lambda v: np.clip(v, -1.0, 1.0))
+    return ApgResult(x=x, value=minimax_value(problem, x),
                      iterations=iterations, converged=converged,
                      restarts=restarts)
 
@@ -319,15 +282,12 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
     convex inner problem.  ``gap = primal - dual`` at the final iterate is
     nonnegative up to roundoff and shrinks to zero at optimality.
     """
-    if problem.box != 1.0:
-        raise ValueError("the dual path requires the unit box")
     c = problem.coefficients
     tau = params.regularization
     lead = problem.batch_shape
     m = c.shape[-1]
 
-    norm_sq = np.asarray(spectral_norm_sq(c)) * _NORM_INFLATION
-    step = tau / np.maximum(norm_sq, 1e-300)
+    step = tau / np.maximum(spectral_norm_sq(c), 1e-300)
 
     def negated(lam):
         # Maximizing g is minimizing -g; negation is exact, so the iterates
@@ -335,7 +295,7 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
         value, grad, _ = _dual_value_and_grad(c, lam, tau)
         return -value, -grad
 
-    lam, _, iterations, converged, restarts = _apg(
+    lam, iterations, converged, restarts = _apg(
         np.full(lead + (m,), 1.0 / m), step, params, negated, project_simplex)
     g_val, _, x = _dual_value_and_grad(c, lam, tau)
     primal = minimax_value(problem, x) + 0.5 * tau * (x * x).sum(axis=-1)
@@ -358,9 +318,11 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     gradient projected onto the nullspace of ``steering`` (the projector
     comes from one thin QR), so every iterate stays feasible.  A short
     smoothing continuation warm-starts each stage, so the final temperature
-    controls accuracy.  ``r`` itself is always a fallback: the returned
-    objective never exceeds its peak rail.  Returns ``v`` and the result of
-    the last stage, whose ``x`` is the stacked ``v``.
+    controls accuracy.  ``params.smoothing`` (the final temperature) and
+    ``params.tol`` are fractions of the largest peak rail of ``r``, so
+    scaling ``r`` scales the solution.  ``r`` itself is always a fallback:
+    the returned objective never exceeds its peak rail.  Returns ``v`` and
+    the result of the last stage, whose ``x`` is the stacked ``v``.
     """
     r = np.asarray(r, dtype=complex)
     steering = np.asarray(steering, dtype=complex)
@@ -380,12 +342,14 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     baseline = np.abs(rr).max(axis=-1)
     scale = float(np.max(baseline)) or 1.0
     if params is None:
-        params = ApgParams(smoothing=1e-3 * scale, tol=1e-6 * scale,
-                           max_iters=1500)
+        params = ApgParams(smoothing=1e-3, tol=1e-6, max_iters=1500)
+    # Scale the settings before building the stages: built on the relative
+    # values, the stage count differs by roundoff from the pinned outputs'.
+    smoothing, tol = params.smoothing * scale, params.tol * scale
 
     # Smoothing continuation: start coarse (relative to the data scale) and
     # shrink toward the requested temperature, warm-starting each stage.
-    stages = [params.smoothing]
+    stages = [smoothing]
     while stages[-1] < 0.02 * scale:
         stages.append(stages[-1] * 5.0)
     stages.reverse()
@@ -394,9 +358,11 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     for mu in stages:
         iters = params.max_iters if mu == stages[-1] \
             else max(1, params.max_iters // 2)
-        # ||[I; -I]||^2 = 2, and the projector does not raise it.
-        x, f_cur, iterations, converged, restarts = _apg(
-            x, mu / (2.0 * _NORM_INFLATION), replace(params, max_iters=iters),
+        # ||[I; -I]||^2 = 2, and the projector does not raise it; the step
+        # is mu/2.04, not mu/2, because the shipped shaving outputs are
+        # pinned to it.
+        x, iterations, converged, restarts = _apg(
+            x, mu / 2.04, replace(params, tol=tol, max_iters=iters),
             lambda v: value_grad(v, mu), lambda v: v)
 
     # Falling back to r whenever the solver did worse keeps the minimized
@@ -405,6 +371,6 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     fallback = value > baseline
     x = np.where(fallback[..., None], rr, x)
     result = ApgResult(x=x, value=np.where(fallback, baseline, value),
-                       smoothed_value=f_cur, iterations=iterations,
-                       converged=converged, restarts=restarts)
+                       iterations=iterations, converged=converged,
+                       restarts=restarts)
     return unstack_complex(x), result

@@ -264,9 +264,10 @@ def nullspace_zf_arrays(steering, gains, noise_std, symbols,
     time minimizes its peak rail over the transmit vectors with the same
     steering image (:func:`optim.min_iq_inf_norm`); the zero component is
     always a fallback, so ``gamma`` never falls below the plain block
-    zero-forcing one.  ``params`` is an ``optim.ApgParams``, or a function
-    of a block's zero-forcing peak returning one; scenes are solved one at a
-    time because the solver scales its smoothing schedule to each block.
+    zero-forcing one.  ``params`` is an ``optim.ApgParams`` whose smoothing
+    and tolerance are fractions of each block's zero-forcing peak; scenes
+    are solved one at a time because the solver scales its smoothing
+    schedule to each block.
     """
     v = _zf_targets(steering, gains, noise_std, symbols)
     batch = v.shape[:-2]
@@ -275,8 +276,7 @@ def nullspace_zf_arrays(steering, gains, noise_std, symbols,
     converged = np.empty(batch, dtype=bool)
     iterations = np.empty(batch, dtype=np.int64)
     for i in np.ndindex(batch):
-        p = params(float(iq_inf_norm(v[i]))) if callable(params) else params
-        x, solve = optim.min_iq_inf_norm(v[i].T, steering[i], params=p)
+        x, solve = optim.min_iq_inf_norm(v[i].T, steering[i], params=params)
         shaved[i] = x.T
         peak[i] = np.max(solve.value)
         converged[i] = np.all(solve.converged)
@@ -361,7 +361,7 @@ def slp_arrays(h_rows, symbols, noise_std, order: int, solver: str = "primal",
         raise ValueError("solver must be 'primal' or 'dual'")
     symbols = np.asarray(symbols, dtype=complex)
     coeffs = minimax_coefficients(h_rows, symbols, noise_std, order)
-    problem = optim.MinimaxProblem(coefficients=coeffs, box=1.0)
+    problem = optim.MinimaxProblem(coefficients=coeffs)
 
     if solver == "primal":
         if params is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 from typing import Optional, Tuple
@@ -58,6 +59,16 @@ def _take(d: dict, path: str, key: str, convert=None, default=None,
         return convert(value)
     except (TypeError, ValueError) as exc:
         _err(f"{path}.{key}", f"cannot read {value!r} ({exc})")
+
+
+def _int(value) -> int:
+    """An integer, or a float with an integral value; booleans and
+    fractional values are errors, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool):
+        raise TypeError("must be an integer, not a boolean")
+    return operator.index(value)
 
 
 def _mapping(value) -> dict:
@@ -118,11 +129,11 @@ class ChannelSpec:
             if angles is not None:
                 kw["angles_deg"] = angles
                 kw["n_users"] = len(angles)
-                n_users = _take(d, path, "n_users", int)
+                n_users = _take(d, path, "n_users", _int)
                 if n_users is not None and n_users != kw["n_users"]:
                     _err(f"{path}.n_users", "conflicts with explicit angles_deg")
             else:
-                kw["n_users"] = _take(d, path, "n_users", int, required=True)
+                kw["n_users"] = _take(d, path, "n_users", _int, required=True)
                 kw["angle_range_deg"] = _take(d, path, "angle_range_deg",
                                               pair, (-30.0, 30.0))
                 kw["min_separation_deg"] = _take(d, path, "min_separation_deg",
@@ -186,15 +197,16 @@ class SolverSpec:
     @staticmethod
     def from_dict(d: dict, path: str = "solver") -> "SolverSpec":
         d = dict(d)
-        kw = {f.name: _take(d, path, f.name, type(f.default))
+        kw = {f.name: _take(d, path, f.name,
+                            _int if isinstance(f.default, int) else float)
               for f in fields(SolverSpec) if f.name in d}
         _no_leftovers(d, path)
         return SolverSpec(**kw)
 
-    def apg_params(self, solver: str, scale: float = 1.0) -> ApgParams:
+    def apg_params(self, solver: str) -> ApgParams:
         """Solver settings for a ``primal``, ``dual`` or ``nullspace`` run.
 
-        The nullspace smoothing and tolerance are relative to ``scale``, the
+        The nullspace smoothing and tolerance are fractions of the
         zero-forcing peak of the block being shaved.
         """
         if solver == "primal":
@@ -204,8 +216,7 @@ class SolverSpec:
             return ApgParams(regularization=self.regularization,
                              tol=self.dual_tol, max_iters=self.dual_max_iters)
         if solver == "nullspace":
-            return ApgParams(smoothing=self.nullspace_smoothing_rel * scale,
-                             tol=1e-5 * scale,
+            return ApgParams(smoothing=self.nullspace_smoothing_rel, tol=1e-5,
                              max_iters=self.nullspace_max_iters)
         raise ValueError(f"unknown solver {solver!r}")
 
@@ -255,7 +266,7 @@ class SimConfig:
         d = dict(raw)
         geom_path = f"{path}.geometry"
         geom = _take(d, path, "geometry", _mapping, required=True)
-        n_ant = _take(geom, geom_path, "n_antennas", int, required=True)
+        n_ant = _take(geom, geom_path, "n_antennas", _int, required=True)
         spacing = _take(geom, geom_path, "spacing_over_wavelength", float,
                         required=True)
         _no_leftovers(geom, geom_path)
@@ -263,7 +274,7 @@ class SimConfig:
         con_path = f"{path}.constellation"
         con = _take(d, path, "constellation", _mapping, required=True)
         kind = _take(con, con_path, "kind", str, required=True).lower()
-        order = _take(con, con_path, "order", int, required=True)
+        order = _take(con, con_path, "order", _int, required=True)
         _no_leftovers(con, con_path)
 
         channel = ChannelSpec.from_dict(
@@ -280,12 +291,12 @@ class SimConfig:
         spectrum = _take(d, path, "spectrum", _mapping, {})
         grid = _take(spectrum, spectrum_path, "grid_deg",
                      partial(_numbers, count=3), (-90.0, 90.0, 0.5))
-        spectrum_trials = _take(spectrum, spectrum_path, "trials", int, 2000)
+        spectrum_trials = _take(spectrum, spectrum_path, "trials", _int, 2000)
         _no_leftovers(spectrum, spectrum_path)
 
         scatter = _take(d, path, "scatter", _mapping, {})
         scatter_realizations = _take(scatter, f"{path}.scatter",
-                                     "realizations", int, 1000)
+                                     "realizations", _int, 1000)
         _no_leftovers(scatter, f"{path}.scatter")
 
         cfg = SimConfig(
@@ -299,10 +310,10 @@ class SimConfig:
             channel=channel,
             dither_level=_take(d, path, "dither_level", float, 0.8),
             amplitude_mode=_take(d, path, "amplitude_mode", str, "safe"),
-            trials=_take(d, path, "trials", int, 100_000),
-            early_stop_errors=_take(d, path, "early_stop_errors", int, 500),
-            block_length=_take(d, path, "block_length", int, 1),
-            seed=_take(d, path, "seed", int, 0),
+            trials=_take(d, path, "trials", _int, 100_000),
+            early_stop_errors=_take(d, path, "early_stop_errors", _int, 500),
+            block_length=_take(d, path, "block_length", _int, 1),
+            seed=_take(d, path, "seed", _int, 0),
             solver=solver,
             spectrum_grid_deg=grid,
             spectrum_trials=spectrum_trials,

@@ -213,7 +213,7 @@ def _precode_multiuser(cfg, const, steering, alpha, sigma_w, s):
     if cfg.scheme == "nullspace_zf":
         return precoder.nullspace_zf_arrays(
             steering, alpha, sigma_w, s,
-            params=partial(cfg.solver.apg_params, "nullspace"))
+            params=cfg.solver.apg_params("nullspace"))
     return precoder.zf_arrays(steering, alpha, sigma_w, s)
 
 

@@ -237,7 +237,7 @@ def test_criterion_05_solver_cross_checks():
         return res.fun
 
     def primal_annealed(c):
-        prob = MinimaxProblem(coefficients=c, box=1.0)
+        prob = MinimaxProblem(coefficients=c)
         scale = float(np.abs(c).sum(axis=0).max())
         x0 = None
         res = None
@@ -251,7 +251,7 @@ def test_criterion_05_solver_cross_checks():
         return float(res.value)
 
     def dual_solve(c):
-        prob = MinimaxProblem(coefficients=c, box=1.0)
+        prob = MinimaxProblem(coefficients=c)
         res = dual_apg(prob, ApgParams(regularization=1e-5 * np.abs(c).max(),
                                        tol=1e-10, max_iters=40_000))
         return float(minimax_value(prob, res.x))
@@ -477,10 +477,8 @@ def test_criterion_12_nullspace_gain():
         scene = _random_scene(rng, 256, 16, power=10.0 ** 2.1)
         symbols = const.points[rng.integers(0, 16, (16, 100))]
         plain = zf_precode_qam_block(scene, symbols)
-        scale = 1.0 / plain.metadata["gamma"]
         helped = nullspace_zf(scene, symbols,
-                              params=_Params(smoothing=4e-3 * scale,
-                                             tol=1e-5 * scale,
+                              params=_Params(smoothing=4e-3, tol=1e-5,
                                              max_iters=120))
         gains_db.append(20.0 * math.log10(
             helped.metadata["gamma"] / plain.metadata["gamma"]))

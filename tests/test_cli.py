@@ -99,6 +99,12 @@ def test_incompatible_pair_exits_2(tmp_path, capsys):
     ({"constellation": "psk"}, "constellation"),
     ({"snr_db": ["low", "high"]}, "snr_db"),
     ({"channel": "single_path"}, "channel"),
+    ({"geometry": {"n_antennas": 256.5, "spacing_over_wavelength": 0.125}},
+     "geometry.n_antennas"),
+    ({"constellation": {"kind": "psk", "order": 16.9}},
+     "constellation.order"),
+    ({"solver": {"nullspace_max_iters": 120.9}}, "solver.nullspace_max_iters"),
+    ({"trials": True}, "trials"),
 ])
 def test_mistyped_value_exits_2_naming_the_key(tmp_path, capsys, patch, key):
     cfg = _write_cfg(tmp_path, {**MINIMAL, **patch})
