@@ -48,7 +48,12 @@ __all__ = [
 @dataclass(frozen=True)
 class MinimaxProblem:
     """``min_x max_i c_i^T x`` over the unit box ``|x_j| <= 1``, with c_i
-    the columns of ``coefficients``, of shape ``(..., n, m)``."""
+    the columns of ``coefficients``, of shape ``(..., n, m)``.
+
+    The solvers reach ``C`` only through the methods below, so any object
+    with the same methods can stand in for the dense matrix (see
+    :class:`sdprecode.precoder.MarginRows`).
+    """
 
     coefficients: np.ndarray
 
@@ -63,6 +68,28 @@ class MinimaxProblem:
     @property
     def batch_shape(self) -> tuple:
         return self.coefficients.shape[:-2]
+
+    @property
+    def shape(self) -> tuple:
+        """``(n, m)``: variables and columns of one instance."""
+        return self.coefficients.shape[-2:]
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``C w``, batched: ``(..., m) -> (..., n)``."""
+        return np.matmul(self.coefficients, w[..., None])[..., 0]
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """``C^T x``, the column values ``c_i^T x``: ``(..., n) -> (..., m)``."""
+        return _colspace(self.coefficients, x)
+
+    def norm_sq(self):
+        """Squared spectral norm of ``C`` per instance."""
+        return spectral_norm_sq(self.coefficients)
+
+    def take(self, keep) -> "MinimaxProblem":
+        """The instances ``keep`` indexes on the flattened batch axis."""
+        c = self.coefficients
+        return MinimaxProblem(c.reshape((-1,) + c.shape[-2:])[keep])
 
 
 @dataclass(frozen=True)
@@ -130,8 +157,7 @@ def _colspace(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def minimax_value(problem: MinimaxProblem, x: np.ndarray) -> np.ndarray:
     """Exact objective ``max_i c_i^T x``."""
-    return _colspace(problem.coefficients,
-                     np.asarray(x, dtype=float)).max(axis=-1)
+    return problem.rmatvec(np.asarray(x, dtype=float)).max(axis=-1)
 
 
 def _log_sum_exp(z, smoothing):
@@ -167,72 +193,113 @@ def spectral_norm_sq(coefficients) -> np.ndarray:
     return lam if lam.ndim else float(lam)
 
 
-def _apg(x0, step, params: ApgParams, value_grad, project):
+def _apg(x0, step, params: ApgParams, problem, forward, value, grad,
+         project):
     """FISTA with adaptive restart, minimizing over a projected set, batched.
 
+    The objective is ``value(forward(problem, x))`` with ``forward`` linear
+    in ``x``; ``grad(problem, y)`` is the gradient in ``x`` at the point
+    whose image is ``y``.  The loop keeps the image of each iterate and
+    extrapolates it with the same momentum as the iterate, which linearity
+    allows, so an iteration makes one ``forward`` and one adjoint pass
+    (inside ``grad``) and the restart test reads values alone.
+
     ``x0`` is the ``(..., n)`` feasible start, ``step`` the step size per
-    instance, ``value_grad(x)`` returns the objective and its gradient and
-    ``project`` maps a point back onto the feasible set.  Each instance
-    stops once the iterate moves less than ``params.tol`` in the 2-norm, or
-    runs to the cap; momentum restarts whenever the objective rises.
-    Returns ``(x, iterations, converged, restarts)``.
+    instance and ``project`` maps a point back onto the feasible set.
+    ``problem`` holds the per-instance data, with the batch axes of ``x0``,
+    or none when every instance shares it (``None`` when there is none);
+    ``problem.take(keep)`` restricts it to the instances ``keep`` indexes
+    on the flattened batch.  Each instance stops once the iterate moves
+    less than ``params.tol`` in the 2-norm, or runs to the cap; momentum
+    restarts whenever the objective rises.  A stopped instance leaves the
+    working batch, which is compacted whenever its live count halves.
+    Instances never mix, so each one's arithmetic does not depend on the
+    batch it runs in.  Returns ``(x, iterations, converged, restarts)``.
     """
-    lead = x0.shape[:-1]
-    step = np.broadcast_to(step, lead)[..., None]
-    x = x0
-    x_ex = x.copy()
-    t = np.ones(lead)
-    f_cur, _ = value_grad(x)
-    converged = np.zeros(lead, dtype=bool)
-    iterations = np.zeros(lead, dtype=np.int64)
-    restarts = np.zeros(lead, dtype=np.int64)
+    lead, n = x0.shape[:-1], x0.shape[-1]
+    # Row-major rows: an instance's reductions then run in the same order
+    # whatever the layout of x0.
+    x = np.ascontiguousarray(x0.reshape(-1, n))
+    size = x.shape[0]
+    out = x.copy()
+    iterations = np.full(size, params.max_iters, dtype=np.int64)
+    converged = np.zeros(size, dtype=bool)
+    restarts = np.zeros(size, dtype=np.int64)
 
-    for _ in range(params.max_iters):
-        active = ~converged
-        if not np.any(active):
-            break
-        _, grad = value_grad(x_ex)
-        x_new = project(x_ex - step * grad)
-        x_new = np.where(active[..., None], x_new, x)
-        f_new, _ = value_grad(x_new)
+    narrow = problem is not None and problem.batch_shape != ()
+    if narrow:
+        problem = problem.take(slice(None))     # one flat batch axis
+    step = np.broadcast_to(step, lead).reshape(-1, 1)
+    index = np.arange(size)           # flat instance of each working row
+    live = np.ones(size, dtype=bool)
+    y = forward(problem, x)
+    x_ex, y_ex = x, y
+    f_cur = value(y)
+    t = np.ones(size)
+    rs = np.zeros(size, dtype=np.int64)
 
-        worse = active & (f_new > f_cur)
+    for k in range(1, params.max_iters + 1):
+        x_new = project(x_ex - step * grad(problem, y_ex))
+        y_new = forward(problem, x_new)
+        f_new = value(y_new)
+
+        worse = f_new > f_cur
         t = np.where(worse, 1.0, t)
-        restarts += worse
+        rs += worse
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        beta = ((t - 1.0) / t_new)[..., None]
+        beta = ((t - 1.0) / t_new)[:, None]
         x_ex = x_new + beta * (x_new - x)
+        y_ex = y_new + beta * (y_new - y)
 
-        shift = np.linalg.norm(x_new - x, axis=-1)
-        converged |= active & (shift <= params.tol)
-        iterations += active
-        x = x_new
-        t = t_new
-        f_cur = np.where(active, f_new, f_cur)
-    return x, iterations, converged, restarts
+        done = live & (np.linalg.norm(x_new - x, axis=-1) <= params.tol)
+        x, y, t, f_cur = x_new, y_new, t_new, f_new
+        if not done.any():
+            continue
+        stop = index[done]
+        out[stop] = x[done]
+        iterations[stop] = k
+        converged[stop] = True
+        restarts[stop] = rs[done]
+        live &= ~done
+        left = np.count_nonzero(live)
+        if left == 0:
+            break
+        if 2 * left <= live.size:
+            keep = np.flatnonzero(live)
+            x, y, x_ex, y_ex, t, f_cur, rs, step, index = (
+                a[keep] for a in (x, y, x_ex, y_ex, t, f_cur, rs, step,
+                                  index))
+            live = live[keep]
+            if narrow:
+                problem = problem.take(keep)
+
+    out[index[live]] = x[live]
+    restarts[index[live]] = rs[live]
+    return (out.reshape(lead + (n,)), iterations.reshape(lead),
+            converged.reshape(lead), restarts.reshape(lead))
 
 
 def primal_apg(problem: MinimaxProblem, params: ApgParams,
                x0: Optional[np.ndarray] = None) -> ApgResult:
     """Accelerated gradient on the smoothed objective with box clipping.
 
-    Starts from ``x0`` (zero when omitted) and stops per instance once the
-    iterate displacement drops below ``params.tol`` in the 2-norm, or flags
-    non-convergence at the iteration cap.  Momentum restarts whenever the
-    smoothed objective rises.
+    Starts from ``x0`` (zero when omitted; broadcast to the problem's batch,
+    or carrying the batch of a shared problem) and stops per instance once
+    the iterate displacement drops below ``params.tol`` in the 2-norm, or
+    flags non-convergence at the iteration cap.  Momentum restarts whenever
+    the smoothed objective rises.
     """
-    c = problem.coefficients
     mu = params.smoothing
-    n = c.shape[-2]
-    if x0 is None:
-        x0 = np.zeros(problem.batch_shape + (n,))
-    lead = np.broadcast_shapes(problem.batch_shape, x0.shape[:-1])
+    n = problem.shape[0]
+    x0 = np.asarray(np.zeros(n) if x0 is None else x0, dtype=float)
+    lead = problem.batch_shape or x0.shape[:-1]
+    step = mu / np.maximum(problem.norm_sq(), 1e-300)
 
-    step = mu / np.maximum(spectral_norm_sq(c), 1e-300)
-
-    x = np.broadcast_to(np.asarray(x0, dtype=float), lead + (n,)).copy()
     x, iterations, converged, restarts = _apg(
-        x, step, params, lambda v: smoothed_objective(c, v, mu),
+        np.broadcast_to(x0, lead + (n,)), step, params, problem,
+        lambda p, v: p.rmatvec(v),
+        lambda z: _log_sum_exp(z, mu)[0],
+        lambda p, z: p.matvec(_log_sum_exp(z, mu)[1]),
         lambda v: np.clip(v, -1.0, 1.0))
     return ApgResult(x=x, value=minimax_value(problem, x),
                      iterations=iterations, converged=converged,
@@ -264,13 +331,15 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta[..., None], 0.0)
 
 
-def _dual_value_and_grad(c, lam, tau):
-    """Concave dual objective and gradient; x(lam) is the clipped scaled column mix."""
-    y = np.matmul(c, lam[..., None])[..., 0]
-    x = np.clip(-y / tau, -1.0, 1.0)
-    value = -huber(y, tau).sum(axis=-1)
-    grad = np.matmul(x[..., None, :], c)[..., 0, :]
-    return value, grad, x
+def _dual_value(y, tau):
+    """Concave dual objective ``g`` at the image ``y = C lam``."""
+    return -huber(y, tau).sum(axis=-1)
+
+
+def _dual_point(y, tau):
+    """Box point ``x(lam) = clip(-C lam / tau)``; the dual gradient is
+    ``C^T x(lam)``."""
+    return np.clip(-y / tau, -1.0, 1.0)
 
 
 def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
@@ -282,22 +351,21 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
     convex inner problem.  ``gap = primal - dual`` at the final iterate is
     nonnegative up to roundoff and shrinks to zero at optimality.
     """
-    c = problem.coefficients
     tau = params.regularization
-    lead = problem.batch_shape
-    m = c.shape[-1]
+    m = problem.shape[1]
+    step = tau / np.maximum(problem.norm_sq(), 1e-300)
 
-    step = tau / np.maximum(spectral_norm_sq(c), 1e-300)
-
-    def negated(lam):
-        # Maximizing g is minimizing -g; negation is exact, so the iterates
-        # are those of ascent on g itself.
-        value, grad, _ = _dual_value_and_grad(c, lam, tau)
-        return -value, -grad
-
+    # Maximizing g is minimizing -g; negation is exact, so the iterates are
+    # those of ascent on g itself.
     lam, iterations, converged, restarts = _apg(
-        np.full(lead + (m,), 1.0 / m), step, params, negated, project_simplex)
-    g_val, _, x = _dual_value_and_grad(c, lam, tau)
+        np.full(problem.batch_shape + (m,), 1.0 / m), step, params, problem,
+        lambda p, v: p.matvec(v),
+        lambda y: -_dual_value(y, tau),
+        lambda p, y: -p.rmatvec(_dual_point(y, tau)),
+        project_simplex)
+    y = problem.matvec(lam)
+    x = _dual_point(y, tau)
+    g_val = _dual_value(y, tau)
     primal = minimax_value(problem, x) + 0.5 * tau * (x * x).sum(axis=-1)
     return DualApgResult(multipliers=lam, x=x, dual_value=g_val,
                          primal_value=primal, gap=primal - g_val,
@@ -322,7 +390,9 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     ``params.tol`` are fractions of the largest peak rail of ``r``, so
     scaling ``r`` scales the solution.  ``r`` itself is always a fallback:
     the returned objective never exceeds its peak rail.  Returns ``v`` and
-    the result of the last stage, whose ``x`` is the stacked ``v``.
+    an :class:`ApgResult` whose ``x`` is the stacked ``v``, with
+    ``iterations`` and ``restarts`` summed over the stages and
+    ``converged`` from the last one.
     """
     r = np.asarray(r, dtype=complex)
     steering = np.asarray(steering, dtype=complex)
@@ -333,10 +403,13 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
         raise ValueError("steering matrix is rank deficient")
     q_conj = np.conj(q)
 
-    def value_grad(x, mu):
-        value, w = _log_sum_exp(np.concatenate([x, -x], axis=-1), mu)
+    def smoothed_peak(x, mu):
+        return _log_sum_exp(np.concatenate([x, -x], axis=-1), mu)[0]
+
+    def feasible_grad(x, mu):
+        _, w = _log_sum_exp(np.concatenate([x, -x], axis=-1), mu)
         g = unstack_complex(w[..., :2 * n] - w[..., 2 * n:])
-        return value, stack_complex(g - (g @ q_conj) @ q.T)
+        return stack_complex(g - (g @ q_conj) @ q.T)
 
     rr = stack_complex(r)                         # (..., 2N)
     baseline = np.abs(rr).max(axis=-1)
@@ -355,15 +428,20 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     stages.reverse()
 
     x = rr
+    iterations = np.zeros(r.shape[:-1], dtype=np.int64)
+    restarts = np.zeros(r.shape[:-1], dtype=np.int64)
     for mu in stages:
         iters = params.max_iters if mu == stages[-1] \
             else max(1, params.max_iters // 2)
         # ||[I; -I]||^2 = 2, and the projector does not raise it; the step
         # is mu/2.04, not mu/2, because the shipped shaving outputs are
-        # pinned to it.
-        x, iterations, converged, restarts = _apg(
-            x, mu / 2.04, replace(params, tol=tol, max_iters=iters),
-            lambda v: value_grad(v, mu), lambda v: v)
+        # pinned to it.  The image of an iterate is the iterate itself.
+        x, stage_iters, converged, stage_restarts = _apg(
+            x, mu / 2.04, replace(params, tol=tol, max_iters=iters), None,
+            lambda _, v: v, lambda v: smoothed_peak(v, mu),
+            lambda _, v: feasible_grad(v, mu), lambda v: v)
+        iterations += stage_iters
+        restarts += stage_restarts
 
     # Falling back to r whenever the solver did worse keeps the minimized
     # norm at or below the unassisted one on every instance.

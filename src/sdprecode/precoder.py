@@ -47,6 +47,8 @@ __all__ = [
     "nullspace_zf_arrays",
     "nullspace_zf",
     "minimax_coefficients",
+    "MarginRows",
+    "margin_rows",
     "slp_arrays",
     "slp_psk",
     "nullspace_basis",
@@ -330,19 +332,86 @@ def minimax_coefficients(h_rows: np.ndarray, symbols: np.ndarray,
     one per sign of the cross-rail term.  Minimizing their maximum over the
     unit box maximizes the worst normalized margin.  Batched over leading
     axes of ``h_rows`` ``(..., K, N)``, ``symbols`` ``(..., K)`` and
-    ``noise_std`` ``(..., K)``.
+    ``noise_std`` ``(..., K)``.  This is the dense form of
+    :func:`margin_rows`, which the solvers use.
     """
+    op = margin_rows(h_rows, symbols, noise_std, order)
+    aligned = np.concatenate([op.rows.real, -op.rows.imag], axis=-1)
+    cross = op.cot * np.concatenate([op.rows.imag, op.rows.real], axis=-1)
+    cols = np.concatenate([-aligned + cross, -aligned - cross], axis=-2)
+    return cols.swapaxes(-1, -2)
+
+
+@dataclass(frozen=True)
+class MarginRows:
+    """The program of :func:`minimax_coefficients` held as complex rows.
+
+    ``rows`` are ``conj(s) h / sigma``, ``(..., K, N)``, and ``cot`` is
+    ``cot(pi/M)``.  With ``a = rows @ xbar`` the 2K column values at the
+    stacked-real ``x = [Re xbar; Im xbar]`` are ``-Re a + cot Im a`` and
+    ``-Re a - cot Im a``, so ``C`` and ``C^T`` are one complex K x N product
+    each, over half the bytes of the stacked-real columns.  It offers the
+    methods of :class:`optim.MinimaxProblem` that the solvers use.
+    """
+
+    rows: np.ndarray
+    cot: float
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.rows.shape[:-2]
+
+    @property
+    def shape(self) -> tuple:
+        k, n = self.rows.shape[-2:]
+        return 2 * n, 2 * k
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``C w``: the stacked reals of ``rows^H c``, with
+        ``c = -(w1 + w2) + i cot (w1 - w2)`` from the two halves of ``w``."""
+        k = self.rows.shape[-2]
+        w1, w2 = w[..., :k], w[..., k:]
+        c_conj = -(w1 + w2) - 1j * (self.cot * (w1 - w2))
+        # rows^H c = conj(conj(c)^T rows): the rows are never conjugated.
+        z = (c_conj[..., None, :] @ self.rows)[..., 0, :]
+        return np.concatenate([z.real, -z.imag], axis=-1)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """``C^T x``: the 2K margins' negations at the stacked-real ``x``."""
+        a = (self.rows @ optim.unstack_complex(x)[..., None])[..., 0]
+        re, im = a.real, self.cot * a.imag
+        return np.concatenate([-re + im, -re - im], axis=-1)
+
+    def norm_sq(self):
+        """Squared spectral norm of ``C``, the top eigenvalue of ``C^T C``.
+
+        Column ``j`` of ``C`` is the stacked ``conj(rows_j) alpha_j`` with
+        ``alpha = -1 + i cot`` for the first K and ``-1 - i cot`` for the
+        rest, so ``C^T C = Re(conj(alpha_j) alpha_l (rows rows^H)_jl)``.
+        """
+        k = self.rows.shape[-2]
+        gram = self.rows @ np.conj(self.rows).swapaxes(-1, -2)
+        alpha = np.repeat([-1.0 + 1j * self.cot, -1.0 - 1j * self.cot], k)
+        full = np.tile(gram, (2, 2)) * (np.conj(alpha)[:, None] * alpha)
+        lam = np.linalg.eigvalsh(full.real)[..., -1]
+        return lam if lam.ndim else float(lam)
+
+    def take(self, keep) -> "MarginRows":
+        """The instances ``keep`` indexes on the flattened batch axis."""
+        rows = self.rows.reshape((-1,) + self.rows.shape[-2:])[keep]
+        return MarginRows(rows, self.cot)
+
+
+def margin_rows(h_rows: np.ndarray, symbols: np.ndarray,
+                noise_std: np.ndarray, order: int) -> MarginRows:
+    """The worst-user margin program of :func:`minimax_coefficients` as
+    :class:`MarginRows`, batched over the same leading axes."""
     h_rows = np.asarray(h_rows, dtype=complex)
     symbols = np.asarray(symbols, dtype=complex)
     noise_std = np.asarray(noise_std, dtype=float)
+    rows = np.conj(symbols)[..., None] * h_rows * (1.0 / noise_std[..., None])
     cot = 0.0 if order == 2 else 1.0 / math.tan(math.pi / order)
-
-    v = np.conj(symbols)[..., None] * h_rows
-    inv = 1.0 / noise_std[..., None]
-    aligned = np.concatenate([v.real, -v.imag], axis=-1) * inv
-    cross = cot * np.concatenate([v.imag, v.real], axis=-1) * inv
-    cols = np.concatenate([-aligned + cross, -aligned - cross], axis=-2)
-    return cols.swapaxes(-1, -2)
+    return MarginRows(rows, cot)
 
 
 def slp_arrays(h_rows, symbols, noise_std, order: int, solver: str = "primal",
@@ -360,8 +429,7 @@ def slp_arrays(h_rows, symbols, noise_std, order: int, solver: str = "primal",
     if solver not in ("primal", "dual"):
         raise ValueError("solver must be 'primal' or 'dual'")
     symbols = np.asarray(symbols, dtype=complex)
-    coeffs = minimax_coefficients(h_rows, symbols, noise_std, order)
-    problem = optim.MinimaxProblem(coefficients=coeffs)
+    problem = margin_rows(h_rows, symbols, noise_std, order)
 
     if solver == "primal":
         if params is None:

@@ -200,8 +200,9 @@ def test_solver_trajectories_are_pinned(tmp_path, scheme):
 
 
 # One 256 x 16 x 100 block of nullspace_qam_block at its shipped solver
-# settings, seed 5, 17 dB.
-EXPECTED_SHAVE = {"gamma": 16.68213000260464, "iterations": 120,
+# settings, seed 5, 17 dB.  Its two continuation stages run 60 + 120
+# iterations, and the solver reports their sum.
+EXPECTED_SHAVE = {"gamma": 16.68213000260464, "iterations": 180,
                   "converged": False}
 
 

@@ -248,7 +248,29 @@ class TestPrimalApg:
             single = primal_apg(MinimaxProblem(coefficients=c[i]),
                                 ApgParams(smoothing=0.01, tol=1e-8,
                                           max_iters=2000))
-            np.testing.assert_allclose(res.value[i], single.value, atol=1e-6)
+            np.testing.assert_allclose(res.value[i], single.value,
+                                       atol=1e-12)
+            np.testing.assert_allclose(res.x[i], single.x, atol=1e-12)
+            assert res.iterations[i] == single.iterations
+
+
+@pytest.mark.parametrize("solve, params", [
+    (primal_apg, ApgParams(smoothing=0.05, tol=1e-8, max_iters=3000)),
+    (dual_apg, ApgParams(regularization=0.01, tol=1e-10, max_iters=3000)),
+])
+def test_compaction_does_not_couple_instances(solve, params):
+    # Scaled instances stop at different iterations, so the working batch
+    # is compacted while the rest still run.
+    rng = np.random.default_rng(17)
+    c = rng.normal(size=(8, 12, 6)) * rng.uniform(0.2, 5.0, (8, 1, 1))
+    res = solve(MinimaxProblem(coefficients=c), params)
+    assert np.sort(res.iterations)[4] < res.iterations.max()
+    for i in range(8):
+        single = solve(MinimaxProblem(coefficients=c[i]), params)
+        assert res.iterations[i] == single.iterations
+        assert res.restarts[i] == single.restarts
+        assert res.converged[i] == single.converged
+        np.testing.assert_allclose(res.x[i], single.x, atol=1e-12)
 
 
 class TestDualApg:
@@ -291,8 +313,8 @@ class TestDualApg:
             y = c @ l
             return -huber(y, tau).sum()
 
-        from sdprecode.optim import _dual_value_and_grad
-        _, grad, _ = _dual_value_and_grad(c, lam, tau)
+        from sdprecode.optim import _dual_point
+        grad = c.T @ _dual_point(c @ lam, tau)
         eps = 1e-7
         for i in range(5):
             e = np.zeros(5)

@@ -20,9 +20,10 @@ from sdprecode.modulator import (
     no_overload_amplitudes_generalized,
     sd_angle_steered,
 )
-from sdprecode.optim import ApgParams
+from sdprecode.optim import ApgParams, spectral_norm_sq
 from sdprecode.precoder import (
     iq_inf_norm,
+    margin_rows,
     minimax_coefficients,
     mrt_angle_steered,
     mrt_generalized,
@@ -346,6 +347,34 @@ class TestSlp:
         margins = analysis.psk_decision_margin(h @ xbar, s, 8) / sigma
         np.testing.assert_allclose(
             np.max(coeffs.T @ x), -margins.min(), atol=1e-10)
+
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_complex_rows_apply_the_dense_columns(self, order):
+        rng = np.random.default_rng(17 + order)
+        batch, k, n = (3, 2), 5, 11
+        h = rng.normal(size=batch + (k, n)) + 1j * rng.normal(
+            size=batch + (k, n))
+        s = make_constellation("psk", order).points[
+            rng.integers(0, order, batch + (k,))]
+        sigma = rng.uniform(0.5, 2.0, batch + (k,))
+        coeffs = minimax_coefficients(h, s, sigma, order)
+        op = margin_rows(h, s, sigma, order)
+        assert op.shape == coeffs.shape[-2:]
+        assert op.batch_shape == batch
+        x = rng.normal(size=batch + (2 * n,))
+        w = rng.normal(size=batch + (2 * k,))
+        image = op.rmatvec(x)
+        adjoint = op.matvec(w)
+        np.testing.assert_allclose(
+            image, np.einsum("...nm,...n->...m", coeffs, x), rtol=1e-12,
+            atol=1e-12 * np.abs(image).max())
+        np.testing.assert_allclose(
+            adjoint, np.einsum("...nm,...m->...n", coeffs, w), rtol=1e-12,
+            atol=1e-12 * np.abs(adjoint).max())
+        np.testing.assert_allclose((image * w).sum(axis=-1),
+                                   (x * adjoint).sum(axis=-1), rtol=1e-12)
+        np.testing.assert_allclose(op.norm_sq(), spectral_norm_sq(coeffs),
+                                   rtol=1e-12)
 
     def test_invalid_solver_name(self):
         rng = np.random.default_rng(16)
