@@ -14,6 +14,39 @@ All entry points accept ``xbar`` of shape ``(N,)`` or ``(N, ...)`` with the
 antenna axis first; trailing axes are independent modulator runs (the
 recursion is sequential over antennas, vectorized over the rest).  Calls are
 pure functions of their inputs plus the dither seed.
+
+Unit feedback (basic, dithered, and steered at phi = 0) has a closed form.
+With ``S_n`` and ``X_n`` the prefix sums of input and output on one rail,
+``b_n = S_n - X_{n-1}``, and while the quantizer input ``v_n = b_n + d_n``
+(dither ``d``, zero without) stays in (-2, 2) the sign quantizer is the odd
+uniform quantizer ``2*floor(v/2) + 1``.  The parity of ``X_n`` is then that
+of n (1-based), which gives (Gray, IEEE Trans. Commun. 1989)
+
+    X_n = 2*floor((S_n + d_n - p_n)/2) + p_n + 1,   p_n = (n - 1) mod 2.
+
+That is one prefix sum plus a few whole-array passes instead of a loop over
+antennas.  In floating point the two traces differ by rounding, so each run
+is certified: every ``v_n`` must lie in (-2 + tol, 2 - tol) and every
+``|x_n - v_n|`` must be below ``1 - tol``.  Then the loop's quantizer input
+sits within 1 of the same ``x_n = +-1``, strictly on its side of zero, so
+by induction over n the loop makes the same decisions, never overloads, and
+never meets the sign(0) tie, provided ``tol`` bounds the gap between the
+two traces.  With u = eps/2, r the overload limit (2, plus the dither
+level), and the traces of a certified run within ``r``:
+
+* the loop rounds ``xbar_n - x_{n-1} = b_n - b_{n-1}`` and the sum ``b_n``,
+  at most ``3*u*r`` per step, ``3*u*r*N`` in all;
+* the prefix sum rounds each ``S_k``, and ``|S_k| <= r + k - 1`` since the
+  outputs are +-1, at most ``u*(N*(N-1)/2 + r*N)`` in all;
+* forming ``b`` and ``v`` in the closed form, and ``v`` in the loop, adds
+  ``u*(r + 4)``.
+
+The sum is below ``(u/2)*(N + 4*r + 2)**2``, about ``N**2 * eps / 4`` for
+large N; ``tol`` doubles it to cover second-order terms and the rounding in
+the checks themselves.  Runs that fail the check, including every run with
+a non-finite entry and every exact tie, go through the loop; past half the
+batch the loop takes every run.  Rotated and channel-matched feedback
+always run the loop.
 """
 
 from __future__ import annotations
@@ -79,9 +112,20 @@ class ModulationResult:
 def one_bit(values: np.ndarray) -> np.ndarray:
     """Per-rail sign quantizer onto {+-1 +-1j}, with sign(0) = +1 on each rail."""
     values = np.asarray(values)
-    re = np.where(values.real >= 0.0, 1.0, -1.0)
-    im = np.where(values.imag >= 0.0, 1.0, -1.0)
-    return re + 1j * im
+    out = np.empty(values.shape, dtype=complex)
+    _sign_into(values.real, out.real)
+    _sign_into(values.imag, out.imag)
+    return out
+
+
+def _sign_into(values, out):
+    """Write +1 where ``values >= 0`` and -1 elsewhere into the float ``out``.
+
+    So sign(0) = sign(-0.0) = +1 and NaN maps to -1.
+    """
+    np.greater_equal(values, 0.0, out=out)
+    out *= 2.0
+    out -= 1.0
 
 
 def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
@@ -90,50 +134,139 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
     ``feedback`` is a scalar, an (N,) vector, or an array broadcastable to
     xbar's shape, giving the per-step feedback multiplier f_n.  ``dither``,
     shaped like xbar, is added at the quantizer input (real part to the
-    in-phase rail, imaginary part to the quadrature rail).
+    in-phase rail, imaginary part to the quadrature rail).  Unit feedback
+    runs in closed form, and only the runs it cannot certify go through the
+    loop.
     """
     xbar = np.asarray(xbar, dtype=complex)
     if xbar.ndim < 1 or xbar.shape[0] < 1:
         raise ValueError("xbar must have at least one antenna entry")
-    n_ant = xbar.shape[0]
     shape, tail = xbar.shape, xbar.shape[1:]
-
+    # Batch axes run as one: every numpy call costs less on 1-D rows.
+    flat = xbar.reshape(shape[0], -1)
+    if dither is not None:
+        dither = dither.reshape(flat.shape)
     fb = np.asarray(feedback, dtype=complex)
-    if fb.ndim == 0:
-        fb = np.broadcast_to(fb, (n_ant,))
-    if len(tail) > 1 and fb.ndim == 1:
-        # Batch axes run as one: each step below is a few numpy calls, and
-        # every call costs less on 1-D rows than on n-D ones.
-        xbar = xbar.reshape(n_ant, -1)
-        if dither is not None:
-            dither = dither.reshape(n_ant, -1)
+    fb = (np.broadcast_to(fb, shape[:1]) if fb.ndim <= 1
+          else np.broadcast_to(fb, shape).reshape(flat.shape))
 
-    b = np.empty_like(xbar)
-    x = np.empty_like(xbar)
-    b_prev = np.zeros(xbar.shape[1:], dtype=complex)
-    x_prev = np.zeros(xbar.shape[1:], dtype=complex)
-    for n in range(n_ant):
-        f = fb[n]
-        bn = f * b_prev + (xbar[n] - f * x_prev)
-        xn = one_bit(bn if dither is None else bn + dither[n])
-        b[n] = bn
-        x[n] = xn
-        b_prev = bn
-        x_prev = xn
+    unit = np.all(fb == 1)
+    if unit:
+        x, b, q, rail_peak, certified = _unit_feedback(flat, dither,
+                                                       overload_limit)
+        redo = np.flatnonzero(~certified)
+    if not unit or 2 * redo.size >= flat.shape[1]:
+        # Gathering and scattering a run costs about as much as looping
+        # over it, so past half the batch the loop takes every run.
+        x, b = _recursion(flat, fb, dither)
+        q = x - b
+        rail_peak = _rail_peak(b)
+    elif redo.size:
+        x_r, b_r = _recursion(
+            np.take(flat, redo, axis=1),
+            fb if fb.ndim == 1 else np.take(fb, redo, axis=1),
+            None if dither is None else np.take(dither, redo, axis=1))
+        # Indexing both axes scatters several times faster than x[:, redo].
+        cols = (np.arange(flat.shape[0])[:, None], redo)
+        x[cols], b[cols] = x_r, b_r
+        q[cols] = x_r - b_r
+        rail_peak[redo] = _rail_peak(b_r)
 
-    rail_peak = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=0)
     rail_peak = rail_peak.reshape(tail)
-    overloaded = rail_peak > overload_limit
+    overloaded = ~(rail_peak <= overload_limit)     # NaN counts as overload
     if tail == ():
         overloaded = bool(overloaded)
         rail_peak = float(rail_peak)
     return ModulationResult(
         output=x.reshape(shape),
-        quant_error=(x - b).reshape(shape),
+        quant_error=q.reshape(shape),
         integrator_trace=b.reshape(shape),
         overloaded=overloaded,
         peak_integrator=rail_peak,
     )
+
+
+def _recursion(xbar, fb, dither=None):
+    """The loop itself on (N, runs) input; returns ``(x, b)``, both (N, runs).
+
+    ``fb`` is (N,) or (N, runs).  This is the reference arithmetic: every
+    step evaluates ``f*b_prev + (xbar[n] - f*x_prev)`` and quantizes its
+    sum with ``dither[n]``.
+    """
+    x = np.empty(xbar.shape, dtype=complex)
+    b = np.empty(xbar.shape, dtype=complex)
+    xf, bf = x.view(float), b.view(float)
+    fx = np.empty(xbar.shape[1:], dtype=complex)
+    v = np.empty_like(fx)
+    b_prev = x_prev = np.zeros_like(fx)
+    for n in range(xbar.shape[0]):
+        f = fb[n]
+        np.multiply(f, x_prev, out=fx)
+        np.subtract(xbar[n], fx, out=fx)
+        np.multiply(f, b_prev, out=b[n])
+        np.add(b[n], fx, out=b[n])
+        if dither is None:
+            _sign_into(bf[n], xf[n])
+        else:
+            np.add(b[n], dither[n], out=v)
+            _sign_into(v.view(float), xf[n])
+        b_prev, x_prev = b[n], x[n]
+    return x, b
+
+
+def _unit_feedback(xbar, dither, limit):
+    """Closed form of the unit-feedback loop on (N, runs) input.
+
+    Returns ``(x, b, q, rail_peak, certified)``; see the module docstring.
+    Runs whose ``certified`` entry is False carry no guarantee.
+    """
+    n_ant = xbar.shape[0]
+    b = np.empty(xbar.shape, dtype=complex)      # prefix sums S, then b
+    b[0] = xbar[0]
+    for n in range(1, n_ant):
+        np.add(b[n - 1], xbar[n], out=b[n])
+    s = b.view(float)
+    xsum = np.empty_like(s)                      # prefix sums X, then q
+    x = np.empty_like(s)
+    parity = (np.arange(n_ant) % 2.0)[:, None]
+    # Non-finite runs fail the check below and are redone by the loop.
+    with np.errstate(invalid="ignore"):
+        if dither is None:
+            np.subtract(s, parity, out=xsum)
+        else:
+            np.add(b, dither, out=xsum.view(complex))
+            xsum -= parity
+        xsum *= 0.5
+        np.floor(xsum, out=xsum)
+        xsum *= 2.0
+        xsum += parity + 1.0
+        x[0] = xsum[0]
+        np.subtract(xsum[1:], xsum[:-1], out=x[1:])
+        np.subtract(s[1:], xsum[:-1], out=s[1:])
+        x, q = x.view(complex), xsum.view(complex)
+        rail_peak = v_peak = _rail_peak(b)
+        v = b                                    # the quantizer input
+        if dither is not None:
+            v = np.add(b, dither, out=q)
+            v_peak = _rail_peak(v)
+        np.subtract(x, v, out=q)
+        margin = _rail_peak(q)
+        if dither is not None:
+            np.subtract(x, b, out=q)
+    tol = _tolerance(n_ant, limit)
+    certified = (v_peak < 2.0 - tol) & (margin < 1.0 - tol)
+    return x, b, q, rail_peak, certified
+
+
+def _tolerance(n_ant, limit):
+    """Certification margin of the closed form; see the module docstring."""
+    return np.finfo(float).eps * (n_ant + 4.0 * limit + 2.0) ** 2 / 2.0
+
+
+def _rail_peak(b):
+    """Largest rail magnitude of each run of a C-contiguous (N, runs) array."""
+    f = b.view(float)
+    return np.maximum(f.max(axis=0), -f.min(axis=0)).reshape(-1, 2).max(axis=1)
 
 
 def sd_basic(xbar) -> ModulationResult:
@@ -154,7 +287,8 @@ def sd_dithered(xbar, dither: DitherSpec) -> ModulationResult:
     rng = np.random.default_rng(dither.seed)
     u = rng.uniform(-dither.level, dither.level,
                     size=xbar.shape[1:] + (xbar.shape[0], 2))
-    u = np.moveaxis(u[..., 0] + 1j * u[..., 1], -1, 0)
+    # Antenna-major, like the recursion reads it.
+    u = np.ascontiguousarray(np.moveaxis(u.view(complex)[..., 0], -1, 0))
     return _run(xbar, 1.0, dither=u, overload_limit=2.0 + dither.level)
 
 

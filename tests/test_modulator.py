@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdprecode import modulator
 from sdprecode.channel import canonicalize_gains
 from sdprecode.modulator import (
     DitherSpec,
@@ -226,6 +227,114 @@ class TestOneBit:
         rng = np.random.default_rng(16)
         x = one_bit(rng.normal(size=20) + 1j * rng.normal(size=20))
         np.testing.assert_array_equal(one_bit(x), x)
+
+    def test_negative_zero_and_nan(self):
+        vals = np.array([complex(-0.0, np.nan), complex(np.nan, -0.0)])
+        np.testing.assert_array_equal(one_bit(vals), [1 - 1j, -1 + 1j])
+
+
+def _loop(xbar, dither=None, limit=2.0):
+    """The loop on every run of ``xbar``: ``(x, b, peak, overloaded)``."""
+    xbar = np.asarray(xbar, dtype=complex)
+    flat = xbar.reshape(xbar.shape[0], -1)
+    d = None if dither is None else dither.reshape(flat.shape)
+    x, b = modulator._recursion(flat, np.ones(flat.shape[0], complex), d)
+    peak = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=0)
+    peak = peak.reshape(xbar.shape[1:])
+    return (x.reshape(xbar.shape), b.reshape(xbar.shape), peak,
+            ~(peak <= limit))
+
+
+def _assert_matches_loop(res, xbar, dither=None, limit=2.0):
+    """Outputs and overload flags exact; traces within the derived bound."""
+    x, b, peak, overloaded = _loop(xbar, dither, limit)
+    np.testing.assert_array_equal(res.output, x)
+    np.testing.assert_array_equal(res.overloaded, overloaded)
+    tol = modulator._tolerance(np.shape(xbar)[0], limit)
+    np.testing.assert_allclose(res.integrator_trace, b, rtol=0, atol=tol)
+    np.testing.assert_allclose(res.quant_error, x - b, rtol=0, atol=tol)
+    np.testing.assert_allclose(res.peak_integrator, peak, rtol=0, atol=tol)
+
+
+class TestClosedFormAgainstLoop:
+    """Unit feedback runs in closed form; the loop is the reference."""
+
+    @pytest.mark.parametrize("level", [0.1, 0.3, 1 / 3, 0.7, 0.25, -1.0,
+                                       0.9, 0.05, 0.01])
+    def test_constant_rails(self, level):
+        xbar = np.outer(np.ones(256), [level * (1 + 1j), level * (1 - 0.5j)])
+        _assert_matches_loop(sd_basic(xbar), xbar)
+        _assert_matches_loop(sd_angle_steered(xbar, 0.0), xbar)
+
+    def test_constant_rails_batched(self):
+        levels = np.array([0.1, 0.3, 1 / 3, 0.7, 0.25, -1.0, 0.9, 0.05])
+        xbar = np.broadcast_to(levels + 1j * levels[::-1], (256, 8))
+        _assert_matches_loop(sd_basic(xbar), xbar)
+
+    def test_full_scale_rails_and_overdrive(self):
+        rng = np.random.default_rng(17)
+        xbar = one_bit(_box_inputs(rng, 256, 40))
+        _assert_matches_loop(sd_basic(xbar), xbar)
+        over = np.full((256, 2), 1.0 + np.finfo(float).eps, dtype=complex)
+        over[:, 1] = 1.001 - 1j
+        _assert_matches_loop(sd_basic(over), over)
+        drive = np.full(1500, 1.001 + 0.3j)
+        res = sd_basic(drive)
+        _assert_matches_loop(res, drive)
+        assert res.overloaded
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 3), (64,), (64, 5),
+                                       (64, 2, 3, 4)])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(18)
+        xbar = 0.9 * (rng.uniform(-1, 1, shape)
+                      + 1j * rng.uniform(-1, 1, shape))
+        res = sd_basic(xbar)
+        assert res.output.shape == shape
+        _assert_matches_loop(res, xbar)
+
+    def test_non_contiguous_views(self):
+        rng = np.random.default_rng(19)
+        v = _box_inputs(rng, 3, 128 * 7).reshape(3, 128, 7)
+        for xbar in (np.moveaxis(v, -2, 0), v[0, :, ::2], v[1, ::-1]):
+            _assert_matches_loop(sd_basic(xbar), xbar)
+
+    def test_dither_inside_the_floor(self):
+        rng = np.random.default_rng(20)
+        xbar = _box_inputs(rng, 128, 50, bound=0.8)
+        for level in (0.0, 0.1, 0.6):
+            dither = level * (rng.uniform(-1, 1, xbar.shape)
+                              + 1j * rng.uniform(-1, 1, xbar.shape))
+            res = modulator._run(xbar, 1.0, dither, 2.0 + level)
+            _assert_matches_loop(res, xbar, dither, 2.0 + level)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_input_overloads(self, bad):
+        res = sd_basic(np.array([0.5, bad, 0.3]))
+        assert res.overloaded
+        _assert_matches_loop(res, np.array([0.5, bad, 0.3]))
+        xbar = _box_inputs(np.random.default_rng(21), 16, 3, bound=0.9)
+        xbar[5, 1] = complex(0.1, bad)
+        res = sd_basic(xbar)
+        np.testing.assert_array_equal(res.overloaded, [False, True, False])
+        _assert_matches_loop(res, xbar)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 300),
+           st.integers(1, 6), st.floats(0.05, 2.5), st.integers(0, 8),
+           st.sampled_from([0.0, 0.05, 0.5]))
+    def test_random_boxes(self, seed, n, runs, bound, bits, level):
+        # Inputs rounded to `bits` binary digits make exact ties common.
+        rng = np.random.default_rng(seed)
+        xbar = _box_inputs(rng, n, runs, bound=bound)
+        if bits:
+            xbar = (np.round(xbar.real * 2 ** bits)
+                    + 1j * np.round(xbar.imag * 2 ** bits)) / 2 ** bits
+        dither = _box_inputs(rng, n, runs, bound=level)
+        res = modulator._run(xbar, 1.0, dither, 2.0 + level)
+        _assert_matches_loop(res, xbar, dither, 2.0 + level)
+        _assert_matches_loop(sd_basic(xbar), xbar)
 
 
 @settings(max_examples=40, deadline=None)
