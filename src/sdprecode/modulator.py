@@ -15,38 +15,34 @@ antenna axis first; trailing axes are independent modulator runs (the
 recursion is sequential over antennas, vectorized over the rest).  Calls are
 pure functions of their inputs plus the dither seed.
 
-Unit feedback (basic, dithered, and steered at phi = 0) has a closed form.
-With ``S_n`` and ``X_n`` the prefix sums of input and output on one rail,
-``b_n = S_n - X_{n-1}``, and while the quantizer input ``v_n = b_n + d_n``
-(dither ``d``, zero without) stays in (-2, 2) the sign quantizer is the odd
-uniform quantizer ``2*floor(v/2) + 1``.  The parity of ``X_n`` is then that
-of n (1-based), which gives (Gray, IEEE Trans. Commun. 1989)
+Unit feedback (basic, and steered at phi = 0) has a closed form.  With
+``S_n`` and ``X_n`` the prefix sums of input and output on one rail and
+``b_n = S_n - X_{n-1}``, while ``b_n`` stays in (-2, 2) the sign quantizer
+is the odd uniform quantizer ``2*floor(b/2) + 1``.  The parity of ``X_n`` is
+then that of n (1-based), which gives (Gray, IEEE Trans. Commun. 1989)
 
-    X_n = 2*floor((S_n + d_n - p_n)/2) + p_n + 1,   p_n = (n - 1) mod 2.
+    X_n = 2*floor((S_n - p_n)/2) + p_n + 1,   p_n = (n - 1) mod 2.
 
 That is one prefix sum plus a few whole-array passes instead of a loop over
 antennas.  In floating point the two traces differ by rounding, so each run
-is certified: every ``v_n`` must lie in (-2 + tol, 2 - tol) and every
-``|x_n - v_n|`` must be below ``1 - tol``.  Then the loop's quantizer input
-sits within 1 of the same ``x_n = +-1``, strictly on its side of zero, so
-by induction over n the loop makes the same decisions, never overloads, and
-never meets the sign(0) tie, provided ``tol`` bounds the gap between the
-two traces.  With u = eps/2, r the overload limit (2, plus the dither
-level), and the traces of a certified run within ``r``:
+is certified: every ``b_n`` must lie in (-2 + tol, 2 - tol) and every
+``|q_n|`` must be below ``1 - tol``.  Then the loop's ``b_n`` sits within 1
+of the same ``x_n = +-1``, strictly on its side of zero, so by induction
+over n the loop makes the same decisions, never overloads, and never meets
+the sign(0) tie, provided ``tol`` bounds the gap between the two traces.
+With u = eps/2 and the traces of a certified run within 2:
 
 * the loop rounds ``xbar_n - x_{n-1} = b_n - b_{n-1}`` and the sum ``b_n``,
-  at most ``3*u*r`` per step, ``3*u*r*N`` in all;
-* the prefix sum rounds each ``S_k``, and ``|S_k| <= r + k - 1`` since the
-  outputs are +-1, at most ``u*(N*(N-1)/2 + r*N)`` in all;
-* forming ``b`` and ``v`` in the closed form, and ``v`` in the loop, adds
-  ``u*(r + 4)``.
+  at most ``6*u`` per step, ``6*u*N`` in all;
+* the prefix sum rounds each ``S_k``, and ``|S_k| <= k + 1`` since the
+  outputs are +-1, at most ``u*(N*(N-1)/2 + 2*N)`` in all;
+* forming ``b`` and ``q`` in the closed form adds ``6*u``.
 
-The sum is below ``(u/2)*(N + 4*r + 2)**2``, about ``N**2 * eps / 4`` for
-large N; ``tol`` doubles it to cover second-order terms and the rounding in
-the checks themselves.  Runs that fail the check, including every run with
-a non-finite entry and every exact tie, go through the loop; past half the
-batch the loop takes every run.  Rotated and channel-matched feedback
-always run the loop.
+The sum is below ``(u/2)*(N + 10)**2``, about ``N**2 * eps / 4`` for large
+N; ``tol`` doubles it to cover second-order terms and the rounding in the
+checks themselves.  If any run of a batch fails the check (an exact tie or
+a non-finite entry does), the loop redoes the whole batch.  Dithered,
+rotated and channel-matched feedback always run the loop.
 """
 
 from __future__ import annotations
@@ -131,12 +127,12 @@ def _sign_into(values, out):
 def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
     """Shared recursion: b_n = f_n * b_{n-1} + xbar_n - f_n * x_{n-1}.
 
-    ``feedback`` is a scalar, an (N,) vector, or an array broadcastable to
-    xbar's shape, giving the per-step feedback multiplier f_n.  ``dither``,
+    ``feedback`` is a scalar, an (N,) vector, or an (N, ...) array whose
+    ``feedback[n]`` broadcasts against ``xbar[n]``, giving the per-step
+    feedback multiplier f_n.  ``dither``,
     shaped like xbar, is added at the quantizer input (real part to the
-    in-phase rail, imaginary part to the quadrature rail).  Unit feedback
-    runs in closed form, and only the runs it cannot certify go through the
-    loop.
+    in-phase rail, imaginary part to the quadrature rail).  Undithered unit
+    feedback runs in closed form unless a run fails its certificate.
     """
     xbar = np.asarray(xbar, dtype=complex)
     if xbar.ndim < 1 or xbar.shape[0] < 1:
@@ -147,30 +143,21 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
     if dither is not None:
         dither = dither.reshape(flat.shape)
     fb = np.asarray(feedback, dtype=complex)
-    fb = (np.broadcast_to(fb, shape[:1]) if fb.ndim <= 1
-          else np.broadcast_to(fb, shape).reshape(flat.shape))
+    if fb.ndim <= 1:
+        fb = np.broadcast_to(fb, shape[:1])
+    else:
+        # The antenna axis leads; fb[n] broadcasts against xbar[n].
+        fb = fb.reshape(fb.shape[:1] + (1,) * (len(shape) - fb.ndim)
+                        + fb.shape[1:])
+        fb = np.broadcast_to(fb, shape).reshape(flat.shape)
 
-    unit = np.all(fb == 1)
+    unit = dither is None and np.all(fb == 1)
     if unit:
-        x, b, q, rail_peak, certified = _unit_feedback(flat, dither,
-                                                       overload_limit)
-        redo = np.flatnonzero(~certified)
-    if not unit or 2 * redo.size >= flat.shape[1]:
-        # Gathering and scattering a run costs about as much as looping
-        # over it, so past half the batch the loop takes every run.
+        x, b, q, rail_peak, certified = _unit_feedback(flat)
+    if not unit or not certified.all():
         x, b = _recursion(flat, fb, dither)
         q = x - b
         rail_peak = _rail_peak(b)
-    elif redo.size:
-        x_r, b_r = _recursion(
-            np.take(flat, redo, axis=1),
-            fb if fb.ndim == 1 else np.take(fb, redo, axis=1),
-            None if dither is None else np.take(dither, redo, axis=1))
-        # Indexing both axes scatters several times faster than x[:, redo].
-        cols = (np.arange(flat.shape[0])[:, None], redo)
-        x[cols], b[cols] = x_r, b_r
-        q[cols] = x_r - b_r
-        rail_peak[redo] = _rail_peak(b_r)
 
     rail_peak = rail_peak.reshape(tail)
     overloaded = ~(rail_peak <= overload_limit)     # NaN counts as overload
@@ -214,7 +201,7 @@ def _recursion(xbar, fb, dither=None):
     return x, b
 
 
-def _unit_feedback(xbar, dither, limit):
+def _unit_feedback(xbar):
     """Closed form of the unit-feedback loop on (N, runs) input.
 
     Returns ``(x, b, q, rail_peak, certified)``; see the module docstring.
@@ -231,11 +218,7 @@ def _unit_feedback(xbar, dither, limit):
     parity = (np.arange(n_ant) % 2.0)[:, None]
     # Non-finite runs fail the check below and are redone by the loop.
     with np.errstate(invalid="ignore"):
-        if dither is None:
-            np.subtract(s, parity, out=xsum)
-        else:
-            np.add(b, dither, out=xsum.view(complex))
-            xsum -= parity
+        np.subtract(s, parity, out=xsum)
         xsum *= 0.5
         np.floor(xsum, out=xsum)
         xsum *= 2.0
@@ -244,23 +227,17 @@ def _unit_feedback(xbar, dither, limit):
         np.subtract(xsum[1:], xsum[:-1], out=x[1:])
         np.subtract(s[1:], xsum[:-1], out=s[1:])
         x, q = x.view(complex), xsum.view(complex)
-        rail_peak = v_peak = _rail_peak(b)
-        v = b                                    # the quantizer input
-        if dither is not None:
-            v = np.add(b, dither, out=q)
-            v_peak = _rail_peak(v)
-        np.subtract(x, v, out=q)
+        np.subtract(x, b, out=q)
+        rail_peak = _rail_peak(b)
         margin = _rail_peak(q)
-        if dither is not None:
-            np.subtract(x, b, out=q)
-    tol = _tolerance(n_ant, limit)
-    certified = (v_peak < 2.0 - tol) & (margin < 1.0 - tol)
+    tol = _tolerance(n_ant)
+    certified = (rail_peak < 2.0 - tol) & (margin < 1.0 - tol)
     return x, b, q, rail_peak, certified
 
 
-def _tolerance(n_ant, limit):
+def _tolerance(n_ant):
     """Certification margin of the closed form; see the module docstring."""
-    return np.finfo(float).eps * (n_ant + 4.0 * limit + 2.0) ** 2 / 2.0
+    return np.finfo(float).eps * (n_ant + 10.0) ** 2 / 2.0
 
 
 def _rail_peak(b):
@@ -309,8 +286,8 @@ def sd_generalized(xbar, gains) -> ModulationResult:
     """Channel-matched modulator: feedback ratio h_{n-1}/h_n at step n.
 
     ``gains`` must be nonzero and in nondecreasing magnitude order (see
-    ``channel.canonicalize_gains``); shape ``(N,)`` or broadcastable to
-    ``xbar``.  With this feedback every interior quantization error cancels
+    ``channel.canonicalize_gains``); shape ``(N,)``, or ``(N, ...)`` with
+    ``gains[n]`` broadcastable against ``xbar[n]``.  With this feedback every interior quantization error cancels
     out of ``h^T x``, leaving only the last antenna's error.
     """
     h = np.asarray(gains, dtype=complex)
