@@ -1,10 +1,16 @@
-"""Experiment configuration: parsing, validation, and compatibility rules."""
+"""Experiment configuration: parsing, validation, and compatibility rules.
+
+The YAML layout is data.  ``_LAYOUT`` places every scalar ``SimConfig``
+field in the file and ``_CHANNEL_KEYS`` lists the keys of each channel
+model; parsing and dumping both walk these tables, and every default is the
+one on the dataclass field.
+"""
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from typing import Optional, Tuple
 
@@ -13,27 +19,29 @@ from ..optim import ApgParams
 
 __all__ = ["ConfigError", "ChannelSpec", "SolverSpec", "SimConfig"]
 
-MODULATORS = ("basic", "dithered", "steered", "generalized",
-              "unquantized", "direct")
-
-# Each scheme's channel model and the modulators that make sense behind it.
-# The steered modulator needs the single steering rotation the steered
-# scheme computes; the channel-matched modulator needs the per-antenna
-# ratios of the generalized scheme; the other schemes run the plain
-# (optionally dithered) modulator.
+# Each scheme's row: its channel model, the modulators that make sense
+# behind it, the constellation kind it needs (None: either) and whether it
+# accepts block_length > 1.  The steered modulator needs the single steering
+# rotation the steered scheme computes; the channel-matched modulator needs
+# the per-antenna ratios of the generalized scheme; the other schemes run
+# the plain (optionally dithered) modulator.  Zero forcing and the margin
+# designs decide on phase, so amplitude constellations need the block
+# schemes, which target amplitude constellations only.
 _PLAIN = frozenset({"basic", "dithered", "unquantized", "direct"})
 SCHEMES = {
-    "mrt": ("single_path", _PLAIN),
-    "mrt_steered": ("single_path", frozenset({"steered", "unquantized"})),
+    "mrt": ("single_path", _PLAIN, None, False),
+    "mrt_steered": ("single_path", frozenset({"steered", "unquantized"}),
+                    None, False),
     "mrt_generalized": ("iid_gaussian",
-                        frozenset({"generalized", "unquantized", "direct"})),
-    "zf": ("multi_user", _PLAIN),
-    "zf_qam": ("multi_user", _PLAIN),
-    "nullspace_zf": ("multi_user", _PLAIN),
-    "slp_primal": ("multi_user", _PLAIN),
-    "slp_dual": ("multi_user", _PLAIN),
+                        frozenset({"generalized", "unquantized", "direct"}),
+                        None, False),
+    "zf": ("multi_user", _PLAIN, "psk", False),
+    "zf_qam": ("multi_user", _PLAIN, "qam", True),
+    "nullspace_zf": ("multi_user", _PLAIN, "qam", True),
+    "slp_primal": ("multi_user", _PLAIN, "psk", False),
+    "slp_dual": ("multi_user", _PLAIN, "psk", False),
 }
-_BLOCK_SCHEMES = ("zf_qam", "nullspace_zf")
+MODULATORS = frozenset().union(*(mods for _, mods, _, _ in SCHEMES.values()))
 
 
 class ConfigError(ValueError):
@@ -44,19 +52,16 @@ def _err(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _take(d: dict, path: str, key: str, convert=None, default=None,
-          required=False):
-    """Pop ``key`` and pass it through ``convert``; a value the conversion
-    rejects is a ConfigError naming the key."""
+def _take(d: dict, path: str, key: str, read, required=False):
+    """Pop ``key`` and pass it through ``read``; a missing key gives None,
+    and a value the reader rejects is a ConfigError naming the key."""
     if key not in d:
         if required:
             _err(f"{path}.{key}", "missing required key")
-        return default
+        return None
     value = d.pop(key)
-    if convert is None:
-        return value
     try:
-        return convert(value)
+        return read(value)
     except (TypeError, ValueError) as exc:
         _err(f"{path}.{key}", f"cannot read {value!r} ({exc})")
 
@@ -90,9 +95,45 @@ def _numbers(value, count=None) -> tuple:
     return numbers
 
 
+def _plain(value):
+    """A field value as YAML writes it: tuples become lists."""
+    return list(value) if isinstance(value, tuple) else value
+
+
 def _no_leftovers(d: dict, path: str):
     if d:
         _err(path, f"unknown keys {sorted(d)}")
+
+
+def _require_finite(d: dict, path: str):
+    """Reject a NaN or infinite float anywhere in a dumped config."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            _require_finite(value, f"{path}.{key}")
+        elif any(isinstance(v, float) and not math.isfinite(v)
+                 for v in (value if isinstance(value, list) else [value])):
+            _err(f"{path}.{key}", "must be finite")
+
+
+_PAIR = partial(_numbers, count=2)
+
+# The (key, reader) pairs of each channel model; each key names the
+# ChannelSpec field it sets.  Explicit ``angles_deg`` replace the first
+# three multi-user keys.
+_CHANNEL_KEYS = {
+    "single_path": (("angle_deg", float),),
+    "multi_user": (("n_users", _int), ("angle_range_deg", _PAIR),
+                   ("min_separation_deg", float), ("gain_model", str),
+                   ("pathloss_ref", float), ("pathloss_range", _PAIR)),
+    "iid_gaussian": (),
+}
+
+
+def _channel_keys(model: str, explicit_angles: bool) -> tuple:
+    keys = _CHANNEL_KEYS.get(model, ())
+    if model == "multi_user" and explicit_angles:
+        return (("angles_deg", _numbers),) + keys[3:]
+    return keys
 
 
 @dataclass(frozen=True)
@@ -119,49 +160,40 @@ class ChannelSpec:
     @staticmethod
     def from_dict(d: dict, path: str = "channel") -> "ChannelSpec":
         d = dict(d)
-        model = _take(d, path, "model", required=True)
-        kw = {"model": model}
-        pair = partial(_numbers, count=2)
-        if model == "single_path":
-            kw["angle_deg"] = _take(d, path, "angle_deg", float, 0.0)
-        elif model == "multi_user":
-            angles = _take(d, path, "angles_deg", _numbers)
-            if angles is not None:
-                kw["angles_deg"] = angles
-                kw["n_users"] = len(angles)
-                n_users = _take(d, path, "n_users", _int)
-                if n_users is not None and n_users != kw["n_users"]:
-                    _err(f"{path}.n_users", "conflicts with explicit angles_deg")
-            else:
-                kw["n_users"] = _take(d, path, "n_users", _int, required=True)
-                kw["angle_range_deg"] = _take(d, path, "angle_range_deg",
-                                              pair, (-30.0, 30.0))
-                kw["min_separation_deg"] = _take(d, path, "min_separation_deg",
-                                                 float, 1.0)
-            kw["gain_model"] = _take(d, path, "gain_model", str, "unit_phase")
-            kw["pathloss_ref"] = _take(d, path, "pathloss_ref", float, 30.0)
-            kw["pathloss_range"] = _take(d, path, "pathloss_range", pair,
-                                         (20.0, 100.0))
-        elif model == "iid_gaussian":
-            pass
-        else:
+        model = _take(d, path, "model", str, required=True)
+        if model not in _CHANNEL_KEYS:
             _err(f"{path}.model", f"unknown channel model {model!r}")
+        explicit = "angles_deg" in d
+        kw = {key: _take(d, path, key, read)
+              for key, read in _channel_keys(model, explicit) if key in d}
+        if model == "multi_user" and "n_users" not in kw:
+            # Explicit angles set the user count; a stated one must agree.
+            n_users = _take(d, path, "n_users", _int, required=not explicit)
+            kw["n_users"] = len(kw["angles_deg"]) if n_users is None else n_users
         _no_leftovers(d, path)
-        return ChannelSpec(**kw)
+        return ChannelSpec(model=model, **kw)
+
+    def to_dict(self) -> dict:
+        """The YAML form: the model and the keys it reads."""
+        keys = _channel_keys(self.model, self.angles_deg is not None)
+        return {"model": self.model,
+                **{key: _plain(getattr(self, key)) for key, _ in keys}}
 
     def validate(self, path: str = "channel"):
         if self.model == "single_path":
             if not -90.0 <= self.angle_deg <= 90.0:
                 _err(f"{path}.angle_deg", "must lie in [-90, 90]")
         elif self.model == "multi_user":
-            if self.n_users < 1:
-                _err(f"{path}.n_users", "must be >= 1")
             if self.angles_deg is not None:
                 if len(self.angles_deg) == 0:
                     _err(f"{path}.angles_deg", "must not be empty")
+                if len(set(self.angles_deg)) < len(self.angles_deg):
+                    _err(f"{path}.angles_deg", "angles must be distinct")
                 for a in self.angles_deg:
                     if not -90.0 <= a <= 90.0:
                         _err(f"{path}.angles_deg", "angles must lie in [-90, 90]")
+                if self.n_users != len(self.angles_deg):
+                    _err(f"{path}.n_users", "conflicts with explicit angles_deg")
             else:
                 lo, hi = self.angle_range_deg
                 if not (-90.0 <= lo < hi <= 90.0):
@@ -171,7 +203,9 @@ class ChannelSpec:
                 needed = (self.n_users - 1) * self.min_separation_deg
                 if hi - lo <= needed:
                     _err(f"{path}", "angle range too small for the separation")
-            if self.gain_model not in ("unit_phase", "pathloss"):
+            if self.n_users < 1:
+                _err(f"{path}.n_users", "must be >= 1")
+            if self.gain_model not in (ChannelSpec.gain_model, "pathloss"):
                 _err(f"{path}.gain_model", f"unknown model {self.gain_model!r}")
             if self.gain_model == "pathloss":
                 lo, hi = self.pathloss_range
@@ -230,6 +264,28 @@ class SolverSpec:
                 _err(f"{path}.{name}", "must be >= 1")
 
 
+# Where each scalar SimConfig field sits in the YAML file:
+# (section, or None for the top level; key; field; reader).
+_LAYOUT = (
+    ("geometry", "n_antennas", "n_antennas", _int),
+    ("geometry", "spacing_over_wavelength", "spacing_over_wavelength", float),
+    ("constellation", "kind", "constellation_kind", lambda v: str(v).lower()),
+    ("constellation", "order", "constellation_order", _int),
+    (None, "scheme", "scheme", str),
+    (None, "modulator", "modulator", str),
+    (None, "dither_level", "dither_level", float),
+    (None, "amplitude_mode", "amplitude_mode", str),
+    (None, "snr_db", "snr_db", _numbers),
+    (None, "trials", "trials", _int),
+    (None, "early_stop_errors", "early_stop_errors", _int),
+    (None, "block_length", "block_length", _int),
+    (None, "seed", "seed", _int),
+    ("spectrum", "grid_deg", "spectrum_grid_deg", partial(_numbers, count=3)),
+    ("spectrum", "trials", "spectrum_trials", _int),
+    ("scatter", "realizations", "scatter_realizations", _int),
+)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of one Monte Carlo experiment.
@@ -264,66 +320,32 @@ class SimConfig:
         if not isinstance(raw, dict):
             _err(path, "top level must be a mapping")
         d = dict(raw)
-        geom_path = f"{path}.geometry"
-        geom = _take(d, path, "geometry", _mapping, required=True)
-        n_ant = _take(geom, geom_path, "n_antennas", _int, required=True)
-        spacing = _take(geom, geom_path, "spacing_over_wavelength", float,
-                        required=True)
-        _no_leftovers(geom, geom_path)
-
-        con_path = f"{path}.constellation"
-        con = _take(d, path, "constellation", _mapping, required=True)
-        kind = _take(con, con_path, "kind", str, required=True).lower()
-        order = _take(con, con_path, "order", _int, required=True)
-        _no_leftovers(con, con_path)
-
-        channel = ChannelSpec.from_dict(
-            _take(d, path, "channel", _mapping, required=True),
-            f"{path}.channel")
-        solver = SolverSpec.from_dict(_take(d, path, "solver", _mapping, {}),
-                                      f"{path}.solver")
-
-        snr = _take(d, path, "snr_db", _numbers, required=True)
-        if not snr:
-            _err(f"{path}.snr_db", "must be a non-empty list")
-
-        spectrum_path = f"{path}.spectrum"
-        spectrum = _take(d, path, "spectrum", _mapping, {})
-        grid = _take(spectrum, spectrum_path, "grid_deg",
-                     partial(_numbers, count=3), (-90.0, 90.0, 0.5))
-        spectrum_trials = _take(spectrum, spectrum_path, "trials", _int, 2000)
-        _no_leftovers(spectrum, spectrum_path)
-
-        scatter = _take(d, path, "scatter", _mapping, {})
-        scatter_realizations = _take(scatter, f"{path}.scatter",
-                                     "realizations", _int, 1000)
-        _no_leftovers(scatter, f"{path}.scatter")
-
-        cfg = SimConfig(
-            n_antennas=n_ant,
-            spacing_over_wavelength=spacing,
-            constellation_kind=kind,
-            constellation_order=order,
-            scheme=_take(d, path, "scheme", str, required=True),
-            modulator=_take(d, path, "modulator", str, required=True),
-            snr_db=snr,
-            channel=channel,
-            dither_level=_take(d, path, "dither_level", float, 0.8),
-            amplitude_mode=_take(d, path, "amplitude_mode", str, "safe"),
-            trials=_take(d, path, "trials", _int, 100_000),
-            early_stop_errors=_take(d, path, "early_stop_errors", _int, 500),
-            block_length=_take(d, path, "block_length", _int, 1),
-            seed=_take(d, path, "seed", _int, 0),
-            solver=solver,
-            spectrum_grid_deg=grid,
-            spectrum_trials=spectrum_trials,
-            scatter_realizations=scatter_realizations,
-        )
+        sections = {s: _take(d, path, s, _mapping) or {}
+                    for s in dict.fromkeys(row[0] for row in _LAYOUT) if s}
+        kw = {
+            "channel": ChannelSpec.from_dict(
+                _take(d, path, "channel", _mapping, required=True),
+                f"{path}.channel"),
+            "solver": SolverSpec.from_dict(
+                _take(d, path, "solver", _mapping) or {}, f"{path}.solver"),
+        }
+        required = {f.name for f in fields(SimConfig) if f.default is MISSING
+                    and f.default_factory is MISSING}
+        for section, key, name, read in _LAYOUT:
+            where, at = (d, path) if section is None \
+                else (sections[section], f"{path}.{section}")
+            value = _take(where, at, key, read, required=name in required)
+            if value is not None:
+                kw[name] = value
+        for section, rest in sections.items():
+            _no_leftovers(rest, f"{path}.{section}")
         _no_leftovers(d, path)
+        cfg = SimConfig(**kw)
         cfg.validate(path)
         return cfg
 
     def validate(self, path: str = "config"):
+        _require_finite(self.to_dict(), path)
         if self.n_antennas < 1:
             _err(f"{path}.geometry.n_antennas", "must be >= 1")
         if not 0.0 < self.spacing_over_wavelength <= 0.5:
@@ -335,7 +357,7 @@ class SimConfig:
             _err(f"{path}.scheme", f"unknown scheme {self.scheme!r}")
         if self.modulator not in MODULATORS:
             _err(f"{path}.modulator", f"unknown modulator {self.modulator!r}")
-        model, allowed = SCHEMES[self.scheme]
+        model, allowed, kind, blocks = SCHEMES[self.scheme]
         if self.modulator not in allowed:
             _err(f"{path}.modulator",
                  f"modulator {self.modulator!r} is incompatible with scheme "
@@ -345,20 +367,15 @@ class SimConfig:
                  f"scheme {self.scheme!r} needs channel model {model!r}")
         self.channel.validate(f"{path}.channel")
         self.solver.validate(f"{path}.solver")
-
-        if self.scheme in ("zf", "slp_primal", "slp_dual") \
-                and self.constellation_kind != "psk":
+        if kind is not None and self.constellation_kind != kind:
             _err(f"{path}.constellation.kind",
-                 f"scheme {self.scheme!r} is a phase-decision design; use psk "
-                 "(amplitude constellations need the block schemes)")
-        if self.scheme in _BLOCK_SCHEMES and self.constellation_kind != "qam":
-            _err(f"{path}.constellation.kind",
-                 f"scheme {self.scheme!r} targets amplitude constellations; use qam")
+                 f"scheme {self.scheme!r} needs {kind}")
         if self.block_length < 1:
             _err(f"{path}.block_length", "must be >= 1")
-        if self.block_length > 1 and self.scheme not in _BLOCK_SCHEMES:
+        if self.block_length > 1 and not blocks:
             _err(f"{path}.block_length",
-                 f"only block schemes {_BLOCK_SCHEMES} accept block_length > 1")
+                 f"only schemes {[s for s, (*_, b) in SCHEMES.items() if b]} "
+                 "accept block_length > 1")
         if self.channel.model == "multi_user" \
                 and self.channel.n_users > self.n_antennas:
             _err(f"{path}.channel.n_users", "must not exceed n_antennas")
@@ -369,15 +386,16 @@ class SimConfig:
 
         if self.dither_level < 0:
             _err(f"{path}.dither_level", "must be >= 0")
-        if self.amplitude_mode not in ("safe", "unit"):
+        if self.amplitude_mode not in (SimConfig.amplitude_mode, "unit"):
             _err(f"{path}.amplitude_mode", "must be 'safe' or 'unit'")
+        if not self.snr_db:
+            _err(f"{path}.snr_db", "must be a non-empty list")
         if self.trials < 1:
             _err(f"{path}.trials", "must be >= 1")
         if self.early_stop_errors < 1:
             _err(f"{path}.early_stop_errors", "must be >= 1")
-        for v in self.snr_db:
-            if not math.isfinite(v):
-                _err(f"{path}.snr_db", "entries must be finite")
+        if self.seed < 0:
+            _err(f"{path}.seed", "must be >= 0")
         lo, hi, step = self.spectrum_grid_deg
         if not (-90.0 <= lo < hi <= 90.0) or step <= 0:
             _err(f"{path}.spectrum.grid_deg", "need -90 <= lo < hi <= 90, step > 0")
@@ -386,42 +404,9 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         """Round-trippable plain-dict form (the manifest echoes this)."""
-        ch = {"model": self.channel.model}
-        if self.channel.model == "single_path":
-            ch["angle_deg"] = self.channel.angle_deg
-        elif self.channel.model == "multi_user":
-            if self.channel.angles_deg is not None:
-                ch["angles_deg"] = list(self.channel.angles_deg)
-            else:
-                ch["n_users"] = self.channel.n_users
-                ch["angle_range_deg"] = list(self.channel.angle_range_deg)
-                ch["min_separation_deg"] = self.channel.min_separation_deg
-            ch["gain_model"] = self.channel.gain_model
-            ch["pathloss_ref"] = self.channel.pathloss_ref
-            ch["pathloss_range"] = list(self.channel.pathloss_range)
-        return {
-            "geometry": {
-                "n_antennas": self.n_antennas,
-                "spacing_over_wavelength": self.spacing_over_wavelength,
-            },
-            "constellation": {
-                "kind": self.constellation_kind,
-                "order": self.constellation_order,
-            },
-            "channel": ch,
-            "scheme": self.scheme,
-            "modulator": self.modulator,
-            "dither_level": self.dither_level,
-            "amplitude_mode": self.amplitude_mode,
-            "snr_db": list(self.snr_db),
-            "trials": self.trials,
-            "early_stop_errors": self.early_stop_errors,
-            "block_length": self.block_length,
-            "seed": self.seed,
-            "solver": asdict(self.solver),
-            "spectrum": {
-                "grid_deg": list(self.spectrum_grid_deg),
-                "trials": self.spectrum_trials,
-            },
-            "scatter": {"realizations": self.scatter_realizations},
-        }
+        out = {"channel": self.channel.to_dict(), "solver": asdict(self.solver)}
+        for section, key, name, _ in _LAYOUT:
+            where = out if section is None else out.setdefault(section, {})
+            where[key] = _plain(getattr(self, name))
+        return out
+

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional
 
@@ -35,7 +35,8 @@ from ..channel import (
     steering_matrix,
 )
 # Imported for bench/tracing.py only, which times these by patching them on
-# this module; the precoders call the first two, and no precoder calls
+# this module.  Of the three, only iq_inf_norm is still called, by the
+# precoders themselves; nothing calls minimax_coefficients or
 # nullspace_basis.
 from ..precoder import (  # noqa: F401
     iq_inf_norm,
@@ -60,6 +61,14 @@ def _streams(seed, purpose, point, block):
             np.random.SeedSequence(seed, spawn_key=(purpose, point, block, cat)))
         for cat in range(4)
     )
+
+
+def _blocks(seed, purpose, point, n_total):
+    """``(rngs, n_use)`` for each block of ``RNG_BATCH`` trials (the last one
+    shorter) that covers ``n_total`` trials."""
+    for block, done in enumerate(range(0, n_total, RNG_BATCH)):
+        n_use = min(RNG_BATCH, n_total - done)
+        yield _streams(seed, purpose, point, block), n_use
 
 
 def _complex_normal(rng, shape):
@@ -282,7 +291,6 @@ class SerCurve:
     bits: np.ndarray
     bit_errors: np.ndarray
     nonconverged: int
-    meta: dict = field(default_factory=dict)
 
     CSV_HEADER = "snr_db,ser,ber,theory_ser,ci_halfwidth,trials"
 
@@ -300,13 +308,10 @@ def _run_point(cfg: SimConfig, point: int) -> tuple:
         else _kernel_single_user
 
     totals = _Counts()
-    block = 0
-    while totals.trials < cfg.trials \
-            and totals.symbol_errors < cfg.early_stop_errors:
-        n_use = min(RNG_BATCH, cfg.trials - totals.trials)
-        rngs = _streams(cfg.seed, _PURPOSE_SER, point, block)
+    for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SER, point, cfg.trials):
         totals.add(kernel(cfg, const, power, rngs, n_use))
-        block += 1
+        if totals.symbol_errors >= cfg.early_stop_errors:
+            break
     theory = _theory_ser(cfg, const, power)
     return totals, theory
 
@@ -340,14 +345,12 @@ def run_ser(cfg: SimConfig, n_workers: int = 1) -> SerCurve:
         symbol_errors=col["symbol_errors"], bits=col["bits"],
         bit_errors=col["bit_errors"],
         nonconverged=int(col["nonconverged"].sum()),
-        meta={"scheme": cfg.scheme, "modulator": cfg.modulator,
-              "seed": cfg.seed},
     )
 
 
 def _require_single_user(cfg: SimConfig, what: str):
     if cfg.channel.model == "multi_user":
-        names = [s for s, (model, _) in SCHEMES.items() if model != "multi_user"]
+        names = [s for s, (model, *_) in SCHEMES.items() if model != "multi_user"]
         raise ConfigError(
             f"config.scheme: {what} supports single-user schemes only "
             f"({', '.join(names)})")
@@ -365,15 +368,10 @@ def run_iq_scatter(cfg: SimConfig, n_realizations: Optional[int] = None):
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
 
     sent, received = [], []
-    done, block = 0, 0
-    while done < n_total:
-        n_use = min(RNG_BATCH, n_total - done)
-        rngs = _streams(cfg.seed, _PURPOSE_SCATTER, 0, block)
+    for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SCATTER, 0, n_total):
         x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use)
         sent.append(const.points[s_idx])
         received.append(alpha * y / gain)
-        done += n_use
-        block += 1
     return np.concatenate(sent), np.concatenate(received)
 
 
@@ -422,14 +420,9 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
     grid = steering_matrix(geom, np.deg2rad(angles_deg))
 
     power_sum = np.zeros(angles_deg.size)
-    done, block = 0, 0
-    while done < n_total:
-        n_use = min(RNG_BATCH, n_total - done)
-        rngs = _streams(cfg.seed, _PURPOSE_SPECTRUM, 0, block)
+    for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SPECTRUM, 0, n_total):
         x = _single_user_tx(cfg, const, rngs, n_use)[0]
         power_sum += (np.abs(grid @ x) ** 2).sum(axis=1)
-        done += n_use
-        block += 1
     ref = float(cfg.n_antennas) ** 2
-    db = 10.0 * np.log10(np.maximum(power_sum / done, 1e-300) / ref)
+    db = 10.0 * np.log10(np.maximum(power_sum / n_total, 1e-300) / ref)
     return angles_deg, db

@@ -1,6 +1,8 @@
 """CLI: artifacts, manifests, determinism, and exit codes."""
 
+import copy
 import json
+import math
 import subprocess
 import sys
 
@@ -123,6 +125,51 @@ def test_empty_angle_list_exits_2(tmp_path):
     doc["channel"] = {"model": "multi_user", "angles_deg": []}
     cfg = _write_cfg(tmp_path, doc)
     assert main(["ser", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+ZF_USERS = {"scheme": "zf",
+            "channel": {"model": "multi_user", "n_users": 2,
+                        "gain_model": "pathloss"}}
+
+
+def _with(doc, key, value):
+    """A copy of ``doc`` with the dotted ``key`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    *sections, last = key.split(".")
+    where = doc
+    for section in sections:
+        where = where.setdefault(section, {})
+    where[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("base,key,value", [
+    ({"modulator": "dithered"}, "dither_level", math.nan),
+    ({"modulator": "dithered"}, "dither_level", math.inf),
+    (ZF_USERS, "channel.min_separation_deg", math.nan),
+    (ZF_USERS, "channel.pathloss_ref", math.nan),
+    (ZF_USERS, "channel.pathloss_range", [20.0, math.inf]),
+    ({}, "snr_db", [0.0, -math.inf]),
+    ({}, "spectrum.grid_deg", [-90.0, 90.0, math.nan]),
+    ({}, "solver.tol", math.nan),
+])
+def test_non_finite_value_exits_2_naming_the_key(tmp_path, capsys, base,
+                                                 key, value):
+    cfg = _write_cfg(tmp_path, _with({**MINIMAL, **base}, key, value))
+    assert main(["ser", "--config", str(cfg), "--out", str(tmp_path),
+                 "--threads", "1"]) == 2
+    assert f"{key}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,flags", [
+    ({**MINIMAL, "seed": -1}, []),
+    (MINIMAL, ["--seed", "-1"]),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, doc, flags):
+    cfg = _write_cfg(tmp_path, doc)
+    assert main(["ser", "--config", str(cfg), "--out", str(tmp_path),
+                 "--threads", "1", *flags]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
 
 
 def test_scatter_and_spectrum_artifacts(tmp_path):

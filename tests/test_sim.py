@@ -1,9 +1,11 @@
 """Monte Carlo engine: reproducibility, seeding discipline, and pipelines."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from sdprecode.modulator import one_bit, sd_basic
 from sdprecode.sim import (
@@ -13,6 +15,8 @@ from sdprecode.sim import (
     run_ser,
     run_spectrum,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _cfg(**overrides):
@@ -30,11 +34,54 @@ def _cfg(**overrides):
     return SimConfig.from_dict(base)
 
 
+_BASE = {
+    "geometry": {"n_antennas": 32, "spacing_over_wavelength": 0.125},
+    "constellation": {"kind": "psk", "order": 8},
+    "modulator": "basic",
+    "snr_db": [0.0, 3],
+}
+ROUND_TRIP_CASES = {
+    **{path.name: yaml.safe_load(path.read_text())
+       for path in CONFIGS.glob("*.yaml")},
+    "explicit_angles": {
+        **_BASE, "scheme": "slp_dual", "seed": 3,
+        "channel": {"model": "multi_user", "angles_deg": [-12.5, 0, 40],
+                    "gain_model": "pathloss", "pathloss_range": [10, 50]},
+        "solver": {"dual_max_iters": 50, "regularization": 0.01},
+    },
+    "iid_gaussian": {
+        **_BASE, "scheme": "mrt_generalized", "modulator": "generalized",
+        "channel": {"model": "iid_gaussian"}, "amplitude_mode": "unit",
+        "spectrum": {"grid_deg": [-45, 45, 1], "trials": 7},
+        "scatter": {"realizations": 9},
+    },
+}
+
+
+def _assert_written_keys_echoed(raw, dumped, path="config"):
+    """Every key written in ``raw`` comes back with an equal value."""
+    for key, value in raw.items():
+        assert key in dumped, f"{path}.{key}"
+        if isinstance(value, dict):
+            _assert_written_keys_echoed(value, dumped[key], f"{path}.{key}")
+        else:
+            assert dumped[key] == value, f"{path}.{key}"
+            assert isinstance(dumped[key], list) == isinstance(value, list)
+
+
 class TestConfigValidation:
     def test_round_trip_through_dict(self):
         cfg = _cfg()
         again = SimConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+    def test_every_layout_round_trips(self, name):
+        raw = ROUND_TRIP_CASES[name]
+        cfg = SimConfig.from_dict(raw)
+        dumped = cfg.to_dict()
+        assert SimConfig.from_dict(dumped) == cfg
+        _assert_written_keys_echoed(raw, dumped)
 
     @pytest.mark.parametrize("patch,err_key", [
         ({"scheme": "mrt", "modulator": "steered"}, "modulator"),
@@ -51,6 +98,9 @@ class TestConfigValidation:
         ({"geometry": {"n_antennas": 64, "spacing_over_wavelength": 0.7}},
          "spacing"),
         ({"constellation": {"kind": "qam", "order": 12}}, "order"),
+        ({"scheme": "zf",
+          "channel": {"model": "multi_user", "angles_deg": [10, 10]}},
+         "channel.angles_deg"),
     ])
     def test_invalid_configs_name_the_key(self, patch, err_key):
         base = {
