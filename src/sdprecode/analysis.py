@@ -28,10 +28,8 @@ from .channel import (
 
 __all__ = [
     "QUANT_NOISE_POWER",
-    "NoiseModel",
     "SepBoundParams",
     "qfunc",
-    "noise_model_for_channel",
     "noise_variance_single",
     "noise_variance_single_exact",
     "noise_variance_steered",
@@ -55,23 +53,6 @@ __all__ = [
 
 # Second moment of a complex error uniform on {|Re| <= 1, |Im| <= 1}.
 QUANT_NOISE_POWER = 2.0 / 3.0
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-user receive-noise budget: shaped quantization part plus thermal.
-
-    ``total`` is the sigma_w^2 the precoders weight by; the split is useful
-    for diagnostics (the quantization part is what steering or densification
-    removes).
-    """
-
-    quantization: float
-    thermal: float
-
-    @property
-    def total(self) -> float:
-        return self.quantization + self.thermal
 
 
 class SepBoundParams(NamedTuple):
@@ -157,15 +138,9 @@ def noise_variance_for_channel(channel, power, noise_var, spacing,
     Single- and multi-path channels get the large-array closed forms; an
     arbitrary channel is assumed to be driven through the channel-matched
     modulator, whose surviving quantization error is negligible, leaving the
-    thermal term only.
+    thermal term only.  With ``noise_var = 0`` the result is the
+    quantization part alone.
     """
-    return noise_model_for_channel(channel, power, noise_var, spacing,
-                                   n_antennas).total
-
-
-def noise_model_for_channel(channel, power, noise_var, spacing,
-                            n_antennas) -> NoiseModel:
-    """Quantization/thermal split behind :func:`noise_variance_for_channel`."""
     if isinstance(channel, SinglePathChannel):
         quant = noise_variance_single(channel.gain, channel.angle, power,
                                       0.0, spacing)
@@ -176,7 +151,7 @@ def noise_model_for_channel(channel, power, noise_var, spacing,
         quant = 0.0
     else:
         raise TypeError(f"unknown channel type {type(channel)!r}")
-    return NoiseModel(quantization=quant, thermal=float(noise_var))
+    return quant + float(noise_var)
 
 
 def effective_snr_mrt(gain, angle, power, noise_var, n_antennas,

@@ -21,10 +21,9 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from . import __version__, precoder
+from . import __version__
 from .sim import ConfigError, SimConfig, engine
 
 OUT_DIR_ENV = "SDPRECODE_OUT"
@@ -46,20 +45,16 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    _atomic_write(path, "\n".join([header, *rows]) + "\n")
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
 
 
-def _load_config(path: str) -> tuple[SimConfig, str]:
+def _load_config(path: str) -> SimConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        raw = yaml.safe_load(Path(path).read_text())
+    except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return SimConfig.from_dict(raw, path=path), text
+    return SimConfig.from_dict(raw, path=path)
 
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
@@ -74,125 +69,88 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     return cfg
 
 
-def _manifest(out_dir: Path, command, cfg, config_path, artifacts, timings,
-              extra=None):
-    doc = {
-        "command": command,
-        "library_version": __version__,
-        "seed": cfg.seed,
-        "config_path": str(config_path),
-        "config": cfg.to_dict(),
-        "artifacts": sorted(artifacts),
-        "timings_s": {k: round(v, 6) for k, v in timings.items()},
-    }
-    if extra:
-        doc.update(extra)
-    _atomic_write(out_dir / "manifest.json",
-                  json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _cmd_ser(cfg: SimConfig, args, out_dir: Path, config_path) -> int:
-    t0 = time.perf_counter()
+def _ser(cfg: SimConfig, args):
     curve = engine.run_ser(cfg, n_workers=args.threads)
-    t_run = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _write_csv(out_dir / "ser.csv", curve.CSV_HEADER, curve.csv_rows())
-    t_write = time.perf_counter() - t0
-
     status = EXIT_NONCONVERGED if curve.nonconverged else EXIT_OK
-    _manifest(out_dir, "ser", cfg, config_path,
-              ["ser.csv", "manifest.json"],
-              {"run": t_run, "write": t_write},
-              {"solver_nonconverged": curve.nonconverged,
-               "exit_status": status})
-    return status
+    return ({"ser.csv": _csv(curve.CSV_HEADER, curve.csv_rows())},
+            {"solver_nonconverged": curve.nonconverged}, status)
 
 
-def _cmd_spectrum(cfg: SimConfig, args, out_dir: Path, config_path) -> int:
-    t0 = time.perf_counter()
+def _spectrum(cfg: SimConfig, args):
     angles_deg, db = engine.run_spectrum(cfg)
-    t_run = time.perf_counter() - t0
-
     rows = (f"{a:.10g},{v:.10g}" for a, v in zip(angles_deg, db))
-    t0 = time.perf_counter()
-    _write_csv(out_dir / "spectrum.csv", "theta_deg,value_db", rows)
-    t_write = time.perf_counter() - t0
-    _manifest(out_dir, "spectrum", cfg, config_path,
-              ["spectrum.csv", "manifest.json"],
-              {"run": t_run, "write": t_write}, {"exit_status": EXIT_OK})
-    return EXIT_OK
+    return {"spectrum.csv": _csv("theta_deg,value_db", rows)}, {}, EXIT_OK
 
 
-def _cmd_scatter(cfg: SimConfig, args, out_dir: Path, config_path) -> int:
-    t0 = time.perf_counter()
+def _scatter(cfg: SimConfig, args):
     sent, received = engine.run_iq_scatter(cfg)
-    t_run = time.perf_counter() - t0
-
     rows = (f"{s.real:.10g},{s.imag:.10g},{r.real:.10g},{r.imag:.10g}"
             for s, r in zip(sent, received))
+    return ({"scatter.csv": _csv("re_true,im_true,re_rx,im_rx", rows)}, {},
+            EXIT_OK)
+
+
+# The results of a solve, in print order, with their print formats; the
+# dual solver alone reports dual_value and duality_gap.
+_SOLVE_FIELDS = (("solver", ""), ("iterations", ""), ("converged", ""),
+                 ("restarts", ""), ("objective", ".6e"), ("dual_value", ".6e"),
+                 ("duality_gap", ".3e"), ("worst_margin", ".6e"),
+                 ("peak_rail", ".6f"))
+
+
+def _solve(cfg: SimConfig, args):
+    doc = engine.run_solve(cfg)
+    for key, fmt in _SOLVE_FIELDS:
+        if key in doc:
+            label = key.replace("_", " ") + ":"
+            print(f"{label:<12} {doc[key]:{fmt}}")
+    converged = doc["converged"]
+    return ({"solve.json": json.dumps(doc, indent=2, sort_keys=True) + "\n"},
+            {"solver_nonconverged": 0 if converged else 1},
+            EXIT_OK if converged else EXIT_NONCONVERGED)
+
+
+# name: (run, help); each run returns its artifacts (file name: text), its
+# extra manifest fields and its exit status.
+_COMMANDS = {
+    "ser": (_ser, "symbol/bit error rate sweep over the SNR grid"),
+    "spectrum": (_spectrum, "Monte Carlo angular power spectrum"),
+    "scatter": (_scatter, "noiseless IQ scatter of shaped symbols"),
+    "solve": (_solve, "one margin-maximization solve with diagnostics"),
+}
+
+
+def _run(cfg: SimConfig, args, out_dir: Path) -> int:
+    """Run one command, write its artifacts, then the manifest listing them."""
     t0 = time.perf_counter()
-    _write_csv(out_dir / "scatter.csv", "re_true,im_true,re_rx,im_rx", rows)
-    t_write = time.perf_counter() - t0
-    _manifest(out_dir, "scatter", cfg, config_path,
-              ["scatter.csv", "manifest.json"],
-              {"run": t_run, "write": t_write}, {"exit_status": EXIT_OK})
-    return EXIT_OK
-
-
-def _cmd_solve(cfg: SimConfig, args, out_dir: Path, config_path) -> int:
-    if cfg.scheme not in ("slp_primal", "slp_dual"):
-        raise ConfigError("config.scheme: solve needs slp_primal or slp_dual")
-    scene, symbols = engine.build_solve_instance(cfg)
-    solver = "primal" if cfg.scheme == "slp_primal" else "dual"
-    params = cfg.solver.apg_params(solver)
-
-    t0 = time.perf_counter()
-    out = precoder.slp_psk(scene, symbols, cfg.constellation_order,
-                           solver=solver, params=params)
+    artifacts, extra, status = _COMMANDS[args.command][0](cfg, args)
     t_run = time.perf_counter() - t0
 
-    meta = out.metadata
-    print(f"solver:      {meta['solver']}")
-    print(f"iterations:  {meta['iterations']}")
-    print(f"converged:   {meta['converged']}")
-    print(f"restarts:    {meta['restarts']}")
-    print(f"objective:   {meta['objective']:.6e}")
-    if "duality_gap" in meta:
-        print(f"dual value:  {meta['dual_value']:.6e}")
-        print(f"duality gap: {meta['duality_gap']:.3e}")
-    print(f"worst margin: {float(np.min(meta['margins'])):.6e}")
-    print(f"peak rail:   {float(precoder.iq_inf_norm(out.xbar)):.6f}")
+    t0 = time.perf_counter()
+    for name, text in artifacts.items():
+        _atomic_write(out_dir / name, text)
+    t_write = time.perf_counter() - t0
 
     doc = {
-        "solver": meta["solver"],
-        "iterations": meta["iterations"],
-        "converged": meta["converged"],
-        "restarts": meta["restarts"],
-        "objective": meta["objective"],
-        "worst_margin": float(np.min(meta["margins"])),
-        "peak_rail": float(precoder.iq_inf_norm(out.xbar)),
+        "command": args.command,
+        "library_version": __version__,
+        "seed": cfg.seed,
+        "config_path": str(args.config),
+        "config": cfg.to_dict(),
+        "artifacts": sorted([*artifacts, "manifest.json"]),
+        "timings_s": {"run": round(t_run, 6), "write": round(t_write, 6)},
+        "exit_status": status,
+        **extra,
     }
-    if "duality_gap" in meta:
-        doc["dual_value"] = meta["dual_value"]
-        doc["duality_gap"] = meta["duality_gap"]
-    _atomic_write(out_dir / "solve.json",
+    _atomic_write(out_dir / "manifest.json",
                   json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-    status = EXIT_OK if meta["converged"] else EXIT_NONCONVERGED
-    _manifest(out_dir, "solve", cfg, config_path,
-              ["solve.json", "manifest.json"], {"run": t_run},
-              {"solver_nonconverged": 0 if meta["converged"] else 1,
-               "exit_status": status})
     return status
 
 
-_COMMANDS = {
-    "ser": _cmd_ser,
-    "spectrum": _cmd_spectrum,
-    "scatter": _cmd_scatter,
-    "solve": _cmd_solve,
-}
+def _at_least_one(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,12 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sdprecode",
         description="One-bit sigma-delta MIMO precoding experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ser", "symbol/bit error rate sweep over the SNR grid"),
-        ("spectrum", "Monte Carlo angular power spectrum"),
-        ("scatter", "noiseless IQ scatter of shaped symbols"),
-        ("solve", "one margin-maximization solve with diagnostics"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML config path")
         p.add_argument("--out", default=None,
@@ -214,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
         p.add_argument("--trials", type=int, default=None,
                        help="override trials per SNR point")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads", type=_at_least_one,
                        default=os.cpu_count() or 1,
                        help="worker processes for SNR points (ser only)")
     return parser
@@ -223,11 +176,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg, _ = _load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(_load_config(args.config), args)
         out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args, out_dir, args.config)
+        return _run(cfg, args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -62,7 +62,6 @@ class PrecodeOutput:
     xbar: np.ndarray
     gains: np.ndarray
     iq_bound: np.ndarray
-    scheme: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -113,7 +112,6 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
         xbar=xbar,
         gains=np.broadcast_to(coherent, xbar.shape[1:])[..., None],
         iq_bound=amp,
-        scheme="mrt_steered" if steered else "mrt",
         metadata={"phi": phi, "amplitude": amp},
     )
 
@@ -182,7 +180,6 @@ def mrt_generalized(gains, symbols,
         xbar=xbar,
         gains=coherent.sum(axis=0)[..., None],
         iq_bound=amp,
-        scheme="mrt_generalized",
         metadata={"rescaled": spill},
     )
 
@@ -218,7 +215,7 @@ def _zf_targets(steering, gains, noise_std, symbols) -> np.ndarray:
     return (adjoint @ y) / n
 
 
-def _zf_output(v, peak, noise_std, scheme, **metadata) -> PrecodeOutput:
+def _zf_output(v, peak, noise_std, **metadata) -> PrecodeOutput:
     """Scale each block of directions ``(..., N, T)`` by its common peak."""
     if np.any(peak == 0):
         raise ValueError("all-zero symbol block leaves the normalization undefined")
@@ -227,7 +224,6 @@ def _zf_output(v, peak, noise_std, scheme, **metadata) -> PrecodeOutput:
         xbar=np.moveaxis(gamma[..., None, None] * v, -2, 0),
         gains=gamma[..., None] * noise_std,
         iq_bound=np.float64(1.0),
-        scheme=scheme,
         metadata={"gamma": gamma, **metadata},
     )
 
@@ -244,7 +240,7 @@ def zf_arrays(steering, gains, noise_std, symbols) -> PrecodeOutput:
     time's peak; per-symbol zero forcing is the ``T = 1`` case.
     """
     v = _zf_targets(steering, gains, noise_std, symbols)
-    return _zf_output(v, iq_inf_norm(v, axis=(-2, -1)), noise_std, "zf")
+    return _zf_output(v, iq_inf_norm(v, axis=(-2, -1)), noise_std)
 
 
 def nullspace_basis(a: np.ndarray) -> np.ndarray:
@@ -283,8 +279,8 @@ def nullspace_zf_arrays(steering, gains, noise_std, symbols,
         peak[i] = np.max(solve.value)
         converged[i] = np.all(solve.converged)
         iterations[i] = np.max(solve.iterations)
-    return _zf_output(shaved, peak, noise_std, "nullspace_zf",
-                      converged=converged, iterations=iterations)
+    return _zf_output(shaved, peak, noise_std, converged=converged,
+                      iterations=iterations)
 
 
 def _scene_block(design, scene: MultiUserScene, symbols, **kwargs):
@@ -313,7 +309,7 @@ def zf_precode(scene: MultiUserScene, symbols) -> PrecodeOutput:
 def zf_precode_qam_block(scene: MultiUserScene, symbols) -> PrecodeOutput:
     """Zero-forcing over a ``(K, T)`` symbol block with one shared
     normalization; ``xbar`` is ``(N, T)`` (see :func:`zf_arrays`)."""
-    return replace(_scene_block(zf_arrays, scene, symbols), scheme="zf_qam")
+    return _scene_block(zf_arrays, scene, symbols)
 
 
 def nullspace_zf(scene: MultiUserScene, symbols,
@@ -461,7 +457,6 @@ def slp_arrays(h_rows, symbols, noise_std, order: int, solver: str = "primal",
         xbar=np.moveaxis(xbar, -1, 0),
         gains=(received * np.conj(symbols)).real,
         iq_bound=np.float64(1.0),
-        scheme=f"slp_{solver}",
         metadata=meta,
     )
 

@@ -367,6 +367,15 @@ class SimConfig:
                  f"scheme {self.scheme!r} needs channel model {model!r}")
         self.channel.validate(f"{path}.channel")
         self.solver.validate(f"{path}.solver")
+        if model == "multi_user" and self.channel.angles_deg is not None:
+            # Steering rows depend on spacing * sin(angle) modulo 1 only.
+            wraps = {(self.spacing_over_wavelength
+                      * math.sin(math.radians(a))) % 1.0
+                     for a in self.channel.angles_deg}
+            if len(wraps) < self.channel.n_users:
+                _err(f"{path}.channel.angles_deg", "users alias onto one "
+                     "steering vector (spacing * sin(angle) must be distinct "
+                     "modulo 1)")
         if kind is not None and self.constellation_kind != kind:
             _err(f"{path}.constellation.kind",
                  f"scheme {self.scheme!r} needs {kind}")
@@ -386,10 +395,27 @@ class SimConfig:
 
         if self.dither_level < 0:
             _err(f"{path}.dither_level", "must be >= 0")
+        if not math.isfinite(2.0 * self.dither_level):
+            _err(f"{path}.dither_level", "2 * dither_level overflows a float")
         if self.amplitude_mode not in (SimConfig.amplitude_mode, "unit"):
             _err(f"{path}.amplitude_mode", "must be 'safe' or 'unit'")
         if not self.snr_db:
             _err(f"{path}.snr_db", "must be a non-empty list")
+        try:
+            p_max = 10.0 ** (max(self.snr_db) / 10.0)
+        except OverflowError:
+            _err(f"{path}.snr_db", "the power 10^(snr_db/10) overflows")
+        ch = self.channel
+        if model == "multi_user" and ch.gain_model == "pathloss":
+            # Zero forcing divides by the squared gains; the noise budget
+            # multiplies them by the power.
+            lo, hi = ch.pathloss_range
+            weak, strong = ch.pathloss_ref / hi, ch.pathloss_ref / lo
+            if not (weak * weak > 0
+                    and math.isfinite(strong * strong * p_max)):
+                _err(f"{path}.channel.pathloss_ref", "the squared path gain "
+                     "(pathloss_ref / distance)^2 must stay positive over "
+                     "pathloss_range, and finite times the largest power")
         if self.trials < 1:
             _err(f"{path}.trials", "must be >= 1")
         if self.early_stop_errors < 1:

@@ -34,9 +34,9 @@ from ..channel import (
     make_constellation,
     steering_matrix,
 )
-# Imported for bench/tracing.py only, which times these by patching them on
-# this module.  Of the three, only iq_inf_norm is still called, by the
-# precoders themselves; nothing calls minimax_coefficients or
+# Imported for bench/tracing.py, which times these by patching them on this
+# module.  Of the three, only iq_inf_norm is still called: by the precoders
+# themselves, and here by run_solve; nothing calls minimax_coefficients or
 # nullspace_basis.
 from ..precoder import (  # noqa: F401
     iq_inf_norm,
@@ -46,7 +46,7 @@ from ..precoder import (  # noqa: F401
 from .config import SCHEMES, ConfigError, SimConfig
 
 __all__ = ["RNG_BATCH", "SerCurve", "run_ser", "run_iq_scatter",
-           "run_spectrum"]
+           "run_solve", "run_spectrum"]
 
 RNG_BATCH = 1024
 _CHUNK = 128          # compute-chunk width for the multi-user matrix kernels
@@ -209,28 +209,34 @@ def _draw_mu_channel(cfg: SimConfig, rng, n_use):
     return ang, amp * np.exp(1j * phases)
 
 
-def _precode_multiuser(cfg, const, steering, alpha, sigma_w, s):
-    """The configured design for ``(B, K, N)`` steering rows and ``(B, K, T)``
-    symbols; ``xbar`` comes back as ``(N, B, T)``."""
+def _multiuser_step(cfg, const, power, angles, alpha, symbols):
+    """Steering rows, per-user noise level and the configured design for a
+    batch of scenes: ``(B, K)`` angles and gains, ``(B, K, T)`` symbols.
+
+    Returns ``(steering, out)`` with ``out.xbar`` as ``(N, B, T)``.
+    """
+    geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
+    steering = steering_matrix(geom, angles)
+    sigma_w = np.sqrt(analysis.noise_variance_single(
+        alpha, angles, power, 1.0, cfg.spacing_over_wavelength))
     if cfg.scheme in ("slp_primal", "slp_dual"):
         solver = cfg.scheme[len("slp_"):]
         # One margin program per symbol time: time joins the batch axes.
         h_rows = (alpha[..., None] * steering)[:, None]
-        return precoder.slp_arrays(h_rows, s.swapaxes(-1, -2),
-                                   sigma_w[:, None], const.order, solver,
-                                   cfg.solver.apg_params(solver))
+        return steering, precoder.slp_arrays(
+            h_rows, symbols.swapaxes(-1, -2), sigma_w[:, None], const.order,
+            solver, cfg.solver.apg_params(solver))
     if cfg.scheme == "nullspace_zf":
-        return precoder.nullspace_zf_arrays(
-            steering, alpha, sigma_w, s,
+        return steering, precoder.nullspace_zf_arrays(
+            steering, alpha, sigma_w, symbols,
             params=cfg.solver.apg_params("nullspace"))
-    return precoder.zf_arrays(steering, alpha, sigma_w, s)
+    return steering, precoder.zf_arrays(steering, alpha, sigma_w, symbols)
 
 
 def _kernel_multiuser(cfg, const, power, rngs, n_use) -> _Counts:
     """Zero-forcing, nullspace and margin designs over ``(K, T)`` symbol
     blocks, ``T = 1`` for the per-symbol schemes."""
     k, t_len = cfg.channel.n_users, cfg.block_length
-    geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
     angles, alpha = _draw_mu_channel(cfg, rngs[_CH], n_use)
     s_idx = rngs[_SYM].integers(0, const.order, (n_use, k, t_len))
     noise = _complex_normal(rngs[_NOISE], (n_use, k, t_len))
@@ -242,11 +248,8 @@ def _kernel_multiuser(cfg, const, power, rngs, n_use) -> _Counts:
     step = max(1, _CHUNK // t_len)
     for lo in range(0, n_use, step):
         sl = slice(lo, min(lo + step, n_use))
-        steering = steering_matrix(geom, angles[sl])
-        sigma_w = np.sqrt(analysis.noise_variance_single(
-            alpha[sl], angles[sl], power, 1.0, cfg.spacing_over_wavelength))
-        out = _precode_multiuser(cfg, const, steering, alpha[sl], sigma_w,
-                                 const.points[s_idx[sl]])
+        steering, out = _multiuser_step(cfg, const, power, angles[sl],
+                                        alpha[sl], const.points[s_idx[sl]])
         if "converged" in out.metadata:
             counts.nonconverged += int(np.count_nonzero(
                 ~out.metadata["converged"]))
@@ -375,30 +378,28 @@ def run_iq_scatter(cfg: SimConfig, n_realizations: Optional[int] = None):
     return np.concatenate(sent), np.concatenate(received)
 
 
-def build_solve_instance(cfg: SimConfig):
-    """One multi-user scene plus symbol draw for a standalone solver run.
+def run_solve(cfg: SimConfig) -> dict:
+    """One margin-maximization solve with its diagnostics.
 
-    Uses the first SNR point for the power budget and the same seeded draw
-    discipline as the Monte Carlo runs (solve purpose, first trial).
+    The instance is the first trial of the multi-user draw at the first SNR
+    point (solve purpose), designed by the same step as the SER kernel.
+    Returns the solver's scalar results plus ``worst_margin`` (the smallest
+    noise-normalized decision margin) and ``peak_rail``.
     """
-    from ..channel import MultiUserScene, SinglePathChannel
-
     cfg.validate()
-    if cfg.channel.model != "multi_user":
-        raise ConfigError("config.channel.model: solve needs a multi_user scene")
+    if cfg.scheme not in ("slp_primal", "slp_dual"):
+        raise ConfigError("config.scheme: solve needs slp_primal or slp_dual")
     rngs = _streams(cfg.seed, _PURPOSE_SOLVE, 0, 0)
     angles, alpha = _draw_mu_channel(cfg, rngs[_CH], 1)
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
     s_idx = rngs[_SYM].integers(0, const.order, cfg.channel.n_users)
-    symbols = const.points[s_idx]
-    scene = MultiUserScene(
-        geometry=ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength),
-        channels=tuple(SinglePathChannel(gain=complex(a), angle=float(t))
-                       for a, t in zip(alpha[0], angles[0])),
-        total_power=10.0 ** (cfg.snr_db[0] / 10.0),
-        noise_variance=1.0,
-    )
-    return scene, symbols
+    _, out = _multiuser_step(cfg, const, 10.0 ** (cfg.snr_db[0] / 10.0),
+                             angles, alpha, const.points[s_idx][None, :, None])
+    margins = out.metadata.pop("margins")
+    result = {k: np.asarray(v).item() for k, v in out.metadata.items()}
+    result["worst_margin"] = float(np.min(margins))
+    result["peak_rail"] = float(iq_inf_norm(out.xbar))
+    return result
 
 
 def run_spectrum(cfg: SimConfig, angles_deg=None,

@@ -82,10 +82,9 @@ class TestMultipathVariance:
         arb = analysis.noise_variance_for_channel(
             ArbitraryChannel(np.ones(64)), **kw)
         assert arb == 0.5
-        split = analysis.noise_model_for_channel(
-            SinglePathChannel(0.7, 0.4), **kw)
-        assert split.thermal == 0.5
-        assert split.quantization + split.thermal == pytest.approx(single)
+        quantization = analysis.noise_variance_for_channel(
+            SinglePathChannel(0.7, 0.4), **{**kw, "noise_var": 0.0})
+        assert quantization + 0.5 == single
 
     def test_bounded_by_path_count_bound(self):
         rng = np.random.default_rng(0)

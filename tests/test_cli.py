@@ -161,6 +161,39 @@ def test_non_finite_value_exits_2_naming_the_key(tmp_path, capsys, base,
     assert f"{key}: must be finite" in capsys.readouterr().err
 
 
+# Both users at endfire of a half-wavelength array share one steering vector.
+ALIASED = {"scheme": "zf",
+           "geometry": {"n_antennas": 32, "spacing_over_wavelength": 0.5},
+           "channel": {"model": "multi_user"}}
+
+
+@pytest.mark.parametrize("base,key,value", [
+    ({}, "snr_db", [1e5]),
+    ({"modulator": "dithered"}, "dither_level", 1e308),
+    (ZF_USERS, "channel.pathloss_ref", 1e308),
+    (_with(ZF_USERS, "channel.pathloss_range", [1e10, 1e12]),
+     "channel.pathloss_ref", 1e-300),
+    (ALIASED, "channel.angles_deg", [-90.0, 90.0]),
+])
+def test_unrunnable_value_exits_2_naming_the_key(tmp_path, capsys, base, key,
+                                                 value):
+    cfg = _write_cfg(tmp_path, _with({**MINIMAL, **base}, key, value))
+    assert main(["ser", "--config", str(cfg), "--out", str(tmp_path),
+                 "--threads", "1"]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "ser.csv").exists()
+
+
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as info:
+        main(["ser", "--config", str(cfg), "--out", str(tmp_path),
+              "--threads", "0"])
+    assert info.value.code == 2
+    assert "--threads: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("doc,flags", [
     ({**MINIMAL, "seed": -1}, []),
     (MINIMAL, ["--seed", "-1"]),
@@ -210,6 +243,40 @@ def test_solve_prints_diagnostics(tmp_path, capsys):
     assert "objective" in doc_json
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == code
+
+
+SLP_SMALL = {
+    "geometry": {"n_antennas": 16, "spacing_over_wavelength": 0.125},
+    "constellation": {"kind": "psk", "order": 8},
+    "channel": {"model": "multi_user", "n_users": 2},
+    "scheme": "slp_dual",
+    "modulator": "basic",
+    "snr_db": [10.0],
+    "trials": 4,
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("command,artifact", [
+    ("ser", "ser.csv"), ("spectrum", "spectrum.csv"),
+    ("scatter", "scatter.csv"), ("solve", "solve.json"),
+])
+def test_manifest_contract(tmp_path, command, artifact):
+    cfg = _write_cfg(tmp_path, SLP_SMALL if command == "solve" else MINIMAL)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out),
+                 "--threads", "1"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["artifacts"] == sorted([artifact, "manifest.json"])
+    for name in manifest["artifacts"]:
+        assert (out / name).exists()
+    assert {"run", "write"} <= manifest["timings_s"].keys()
+    assert manifest["exit_status"] == code
+    if command in ("ser", "solve"):
+        assert (code == 3) == (manifest["solver_nonconverged"] > 0)
+    else:
+        assert "solver_nonconverged" not in manifest
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):

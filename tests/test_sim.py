@@ -101,6 +101,10 @@ class TestConfigValidation:
         ({"scheme": "zf",
           "channel": {"model": "multi_user", "angles_deg": [10, 10]}},
          "channel.angles_deg"),
+        ({"scheme": "zf",
+          "geometry": {"n_antennas": 64, "spacing_over_wavelength": 0.5},
+          "channel": {"model": "multi_user", "angles_deg": [-90, 90]}},
+         "channel.angles_deg"),
     ])
     def test_invalid_configs_name_the_key(self, patch, err_key):
         base = {
