@@ -23,6 +23,7 @@ from .channel import (
     MultiPathChannel,
     MultiUserScene,
     SinglePathChannel,
+    steering_gram,
     steering_matrix,
 )
 
@@ -265,8 +266,7 @@ def zf_snr_lower_bound(scene: MultiUserScene) -> ZfSnrBound:
     angles, gains = scene.single_path_arrays()
     geom = scene.geometry
     n, k_users = geom.n_antennas, scene.n_users
-    a = steering_matrix(geom, angles)
-    r = (a @ a.conj().T) / n
+    r = steering_gram(steering_matrix(geom, angles))
     lam_min = float(np.linalg.eigvalsh(r)[0])
 
     if k_users > 1:

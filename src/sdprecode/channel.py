@@ -23,6 +23,7 @@ __all__ = [
     "Constellation",
     "array_response",
     "steering_matrix",
+    "steering_gram",
     "realize_channel",
     "canonicalize_gains",
     "make_constellation",
@@ -196,17 +197,60 @@ def array_response(geometry: ArrayGeometry, angle: float) -> np.ndarray:
     return np.exp(-1j * phase * n)
 
 
+def _ramp_split(n: int) -> int:
+    """Fine-table length L of an ``n``-element phase ramp: the largest divisor
+    of ``n`` not above ``sqrt(n)`` (16 for 512, 1 for a prime)."""
+    return max(l for l in range(1, math.isqrt(n) + 1) if n % l == 0)
+
+
 def steering_matrix(geometry: ArrayGeometry, angles) -> np.ndarray:
-    """Stack of array responses, one row per angle. Shape ``(len(angles), N)``."""
+    """Array responses, one row per angle: shape ``angles.shape + (N,)``.
+
+    With ``z = exp(-1j * 2*pi*(d/lambda) * sin(angle))``, element
+    ``n = m L + r`` is ``z^(mL) * z^r``: only a fine table (``r < L``) and a
+    coarse one (``m < N/L``) are exponentiated, and one product writes the
+    stack (:func:`_ramp_split` gives L).  Both tables start at exactly 1, so
+    ``row[:L]`` and ``row[::L]`` are the tables themselves, bit for bit;
+    :func:`steering_gram` relies on that.
+    """
     angles = np.asarray(angles, dtype=float)
     if np.any(angles < -_HALF_PI) or np.any(angles > _HALF_PI):
         raise ValueError("angles must lie in [-pi/2, pi/2]")
-    n = np.arange(geometry.n_antennas)
+    n = geometry.n_antennas
+    fine_len = _ramp_split(n)
     phase = 2.0 * np.pi * geometry.spacing_over_wavelength * np.sin(angles)
-    # Exponentiate in place: the engine's (trials, users, antennas) stacks
-    # run to tens of MB, and a second one is a needless peak.
-    z = -1j * np.multiply.outer(phase, n)
-    return np.exp(z, out=z)
+    fine = np.exp(-1j * np.multiply.outer(phase, np.arange(fine_len)))
+    coarse = np.exp(-1j * np.multiply.outer(
+        phase, fine_len * np.arange(n // fine_len)))
+    out = np.multiply(coarse[..., :, None], fine[..., None, :])
+    return out.reshape(angles.shape + (n,))
+
+
+def steering_gram(steering) -> np.ndarray:
+    """Normalized Gram matrices ``S S^H / N`` of phase-ramp rows ``(..., K, N)``.
+
+    Rows must be phase ramps ``z^n``, as :func:`steering_matrix` returns.
+    Then the Gram is the elementwise product of the Grams of the fine
+    columns ``S[..., :L]`` and the coarse columns ``S[..., ::L]``, at
+    ``O(K^2 (L + N/L))`` per stack instead of ``O(K^2 N)``; for a prime N
+    (L = 1) it is the full product.  For other rows the result is wrong.
+    """
+    steering = np.asarray(steering)
+    n = steering.shape[-1]
+    fine_len = _ramp_split(n)
+    # The larger, coarse factor first, so the temporaries of the two factor
+    # Grams never coexist.  The product keeps the operand order
+    # fine * coarse, whose bits the pinned outputs carry: numpy's complex
+    # multiply is not bitwise commutative.
+    gram = _gram(steering[..., ::fine_len])
+    np.multiply(_gram(steering[..., :fine_len]), gram, out=gram)
+    gram /= n
+    return gram
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    rows = np.ascontiguousarray(rows)
+    return rows @ np.conj(rows).swapaxes(-1, -2)
 
 
 def realize_channel(channel: Channel, geometry: ArrayGeometry) -> np.ndarray:

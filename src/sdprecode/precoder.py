@@ -31,6 +31,7 @@ from .channel import (
     MultiUserScene,
     SinglePathChannel,
     realize_channel,
+    steering_gram,
     steering_matrix,
 )
 
@@ -205,14 +206,14 @@ def _zf_targets(steering, gains, noise_std, symbols) -> np.ndarray:
     n = steering.shape[-1]
     weights = noise_std * np.conj(gains) / np.abs(gains) ** 2
     rhs = weights[..., None] * symbols
-    adjoint = np.conj(steering).swapaxes(-1, -2)
-    gram = (steering @ adjoint) / n
     try:
-        y = np.linalg.solve(gram, rhs)
+        y = np.linalg.solve(steering_gram(steering), rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("steering vectors are linearly dependent "
                          "(coincident user angles)") from exc
-    return (adjoint @ y) / n
+    # S^H y as conj(y^H S): the steering stack is never conjugated.
+    back = np.conj(y).swapaxes(-1, -2) @ steering
+    return np.conj(back, out=back).swapaxes(-1, -2) / n
 
 
 def _zf_output(v, peak, noise_std, **metadata) -> PrecodeOutput:
@@ -231,8 +232,11 @@ def _zf_output(v, peak, noise_std, **metadata) -> PrecodeOutput:
 def zf_arrays(steering, gains, noise_std, symbols) -> PrecodeOutput:
     """Block zero-forcing with noise-weighted per-user gains, batched.
 
-    ``steering`` is ``(..., K, N)`` (unit-modulus array responses), ``gains``
-    and ``noise_std`` are ``(..., K)`` and ``symbols`` is ``(..., K, T)``.
+    ``steering`` is ``(..., K, N)`` with every row a phase ramp ``z^n``, as
+    ``channel.steering_matrix`` returns: the Gram is built from that
+    structure (``channel.steering_gram``) and is wrong for other rows.
+    ``gains`` and ``noise_std`` are ``(..., K)`` and ``symbols`` is
+    ``(..., K, T)``.
     Nulls inter-user interference and weights each user by its own noise
     standard deviation, so every user lands at the same effective SNR
     ``P gamma^2 / (2N)``.  Amplitude decisions need the receive gain to be

@@ -406,16 +406,21 @@ class SimConfig:
         except OverflowError:
             _err(f"{path}.snr_db", "the power 10^(snr_db/10) overflows")
         ch = self.channel
-        if model == "multi_user" and ch.gain_model == "pathloss":
+        if model == "multi_user":
             # Zero forcing divides by the squared gains; the noise budget
-            # multiplies them by the power.
-            lo, hi = ch.pathloss_range
-            weak, strong = ch.pathloss_ref / hi, ch.pathloss_ref / lo
-            if not (weak * weak > 0
-                    and math.isfinite(strong * strong * p_max)):
-                _err(f"{path}.channel.pathloss_ref", "the squared path gain "
-                     "(pathloss_ref / distance)^2 must stay positive over "
-                     "pathloss_range, and finite times the largest power")
+            # 4 g^2 P / 3 multiplies them by the power.
+            strong, key = 1.0, "snr_db"
+            if ch.gain_model == "pathloss":
+                lo, hi = ch.pathloss_range
+                weak, strong = ch.pathloss_ref / hi, ch.pathloss_ref / lo
+                key = "channel.pathloss_ref"
+                if not weak * weak > 0:
+                    _err(f"{path}.{key}", "the squared path gain "
+                         "(pathloss_ref / distance)^2 must stay positive "
+                         "over pathloss_range")
+            if not math.isfinite(4.0 * strong * strong * p_max / 3.0):
+                _err(f"{path}.{key}", "the noise budget 4 g^2 P / 3 "
+                     "overflows for the largest gain g and power P")
         if self.trials < 1:
             _err(f"{path}.trials", "must be >= 1")
         if self.early_stop_errors < 1:

@@ -72,8 +72,11 @@ def _blocks(seed, purpose, point, n_total):
 
 
 def _complex_normal(rng, shape):
-    z = rng.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    # Pairs of normals read as complex in place: the same bits as
+    # ``(z[..., 0] + 1j * z[..., 1]) / sqrt(2)`` without its temporaries.
+    z = rng.standard_normal(shape + (2,)).view(complex)[..., 0]
+    z /= math.sqrt(2.0)
+    return z
 
 
 def _sample_separated_angles(rng, count, n_users, lo, hi, sep):

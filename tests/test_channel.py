@@ -19,8 +19,10 @@ from sdprecode.channel import (
     decide,
     make_constellation,
     realize_channel,
+    steering_gram,
     steering_matrix,
 )
+from sdprecode.channel import _ramp_split
 
 
 class TestArrayResponse:
@@ -62,6 +64,69 @@ class TestArrayResponse:
         m = steering_matrix(g, angles)
         for i, ang in enumerate(angles):
             np.testing.assert_allclose(m[i], array_response(g, ang))
+
+
+class TestTwoFactorSteering:
+    """Rows built as ``z^(mL) * z^r`` from a fine and a coarse table."""
+
+    SIZES = [1, 2, 7, 16, 30, 512]
+    SPACINGS = [0.125, 0.5]
+
+    @staticmethod
+    def _phase_and_rows(n, d, seed=0):
+        # Both endfires and broadside, then random angles: (3, 8) users.
+        rng = np.random.default_rng(seed)
+        angles = np.concatenate([[-math.pi / 2, 0.0, math.pi / 2],
+                                 rng.uniform(-math.pi / 2, math.pi / 2, 21)])
+        angles = angles.reshape(3, 8)
+        phase = 2.0 * np.pi * d * np.sin(angles)
+        return phase, steering_matrix(ArrayGeometry(n, d), angles)
+
+    @staticmethod
+    def _bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    @pytest.mark.parametrize("n,split", [(1, 1), (2, 1), (7, 1), (16, 4),
+                                         (30, 5), (512, 16), (1000, 25)])
+    def test_split_is_largest_divisor_up_to_root(self, n, split):
+        assert _ramp_split(n) == split
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("d", SPACINGS)
+    def test_factor_gram_matches_full_product(self, n, d):
+        _, rows = self._phase_and_rows(n, d)
+        full = rows @ np.conj(rows).swapaxes(-1, -2) / n
+        gram = steering_gram(rows)
+        assert gram.shape == (3, 8, 8)
+        assert np.abs(gram - full).max() <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("d", SPACINGS)
+    def test_matches_direct_exponential(self, n, d):
+        phase, rows = self._phase_and_rows(n, d)
+        direct = np.exp(-1j * np.multiply.outer(phase, np.arange(n)))
+        # Either build rounds its argument near |phase| N, so the two agree
+        # to about one ulp there: 5.7e-14 at N = 512, d = 1/8 and 2.3e-13 at
+        # endfire with d = 1/2, where exp(-i phase n) is itself 1.1e-13 off.
+        tol = 2.0 * np.spacing(np.abs(phase).max() * n) + 1e-15
+        assert np.abs(rows - direct).max() <= max(tol, 1e-13)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_first_element_exactly_one(self, n):
+        _, rows = self._phase_and_rows(n, 0.5)
+        assert np.all(rows[..., 0] == 1.0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("d", SPACINGS)
+    def test_tables_are_the_rows_own_columns(self, n, d):
+        phase, rows = self._phase_and_rows(n, d)
+        split = _ramp_split(n)
+        fine = np.exp(-1j * np.multiply.outer(phase, np.arange(split)))
+        coarse = np.exp(-1j * np.multiply.outer(
+            phase, split * np.arange(n // split)))
+        assert np.array_equal(self._bits(rows[..., :split]), self._bits(fine))
+        assert np.array_equal(self._bits(rows[..., ::split]),
+                              self._bits(coarse))
 
 
 class TestGeometryValidation:

@@ -161,6 +161,11 @@ def test_non_finite_value_exits_2_naming_the_key(tmp_path, capsys, base,
     assert f"{key}: must be finite" in capsys.readouterr().err
 
 
+# Two users with unit-modulus gains; the noise budget scales with the power.
+UNIT_ZF = {"scheme": "zf",
+           "channel": {"model": "multi_user", "n_users": 2,
+                       "gain_model": "unit_phase"}}
+
 # Both users at endfire of a half-wavelength array share one steering vector.
 ALIASED = {"scheme": "zf",
            "geometry": {"n_antennas": 32, "spacing_over_wavelength": 0.5},
@@ -174,6 +179,7 @@ ALIASED = {"scheme": "zf",
     (_with(ZF_USERS, "channel.pathloss_range", [1e10, 1e12]),
      "channel.pathloss_ref", 1e-300),
     (ALIASED, "channel.angles_deg", [-90.0, 90.0]),
+    (UNIT_ZF, "snr_db", [3080.0]),
 ])
 def test_unrunnable_value_exits_2_naming_the_key(tmp_path, capsys, base, key,
                                                  value):

@@ -1,6 +1,7 @@
 """Precoders: amplitude bounds, receive gains, nulling, and margin designs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sdprecode.channel import (
     canonicalize_gains,
     make_constellation,
     realize_channel,
+    steering_matrix,
 )
 from sdprecode.modulator import (
     no_overload_amplitude,
@@ -31,6 +33,7 @@ from sdprecode.precoder import (
     nullspace_basis,
     nullspace_zf,
     slp_psk,
+    zf_arrays,
     zf_precode,
     zf_precode_qam_block,
 )
@@ -209,6 +212,30 @@ class TestZfPrecode:
         scene = _random_scene(rng, 16, 2)
         with pytest.raises(ValueError):
             zf_precode(scene, np.zeros(2, dtype=complex))
+
+
+class TestZfMemory:
+    def test_step_allocates_about_one_steering_stack(self):
+        # One engine chunk of the shipped zf_multiuser config: 128 scenes,
+        # 24 users, 512 antennas, one symbol each.  The Gram comes from the
+        # rows' fine and coarse columns and the back-projection from the
+        # rows themselves, so nothing else of the stack's size is made.
+        rng = np.random.default_rng(12)
+        b, k, n = 128, 24, 512
+        angles = (np.deg2rad(np.linspace(-60.0, 60.0, k))
+                  + rng.uniform(-0.01, 0.01, (b, k)))
+        gains = np.exp(1j * rng.uniform(-np.pi, np.pi, (b, k)))
+        symbols = make_constellation("psk", 8).points[
+            rng.integers(0, 8, (b, k, 1))]
+        tracemalloc.start()
+        try:
+            steering = steering_matrix(ArrayGeometry(n, 0.125), angles)
+            out = zf_arrays(steering, gains, np.ones((b, k)), symbols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.xbar.shape == (n, b, 1)
+        assert peak <= 1.25 * steering.nbytes
 
 
 class TestZfBlock:

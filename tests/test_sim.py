@@ -15,6 +15,7 @@ from sdprecode.sim import (
     run_ser,
     run_spectrum,
 )
+from sdprecode.sim.engine import _complex_normal
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -192,6 +193,17 @@ class TestReproducibility:
         a = run_ser(cfg, n_workers=1)
         b = run_ser(cfg, n_workers=2)
         np.testing.assert_array_equal(a.ser, b.ser)
+
+    @pytest.mark.parametrize("shape", [(128, 24, 100), (1024, 256), (3,)])
+    def test_complex_normal_keeps_the_pairwise_bits(self, shape):
+        # The draw reads each pair of normals as one complex in place; it
+        # must keep every bit of the formula that built it from two columns.
+        z = np.random.default_rng(21).standard_normal(shape + (2,))
+        expected = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+        got = _complex_normal(np.random.default_rng(21), shape)
+        assert got.shape == shape
+        np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                      expected.view(np.uint64))
 
 
 class TestSingleUserPipelines:
