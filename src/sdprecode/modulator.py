@@ -13,7 +13,11 @@ reconstruction identity that the tests rely on:
 All entry points accept ``xbar`` of shape ``(N,)`` or ``(N, ...)`` with the
 antenna axis first; trailing axes are independent modulator runs (the
 recursion is sequential over antennas, vectorized over the rest).  Calls are
-pure functions of their inputs plus the dither seed.
+pure functions of their inputs plus the dither seed.  Given a
+:class:`Workspace`, a call writes its output and traces into that
+workspace's buffers instead of fresh memory: the bits are the same, but the
+result's arrays are views that the next call with the same workspace
+overwrites, so read them before then and never pass them back in as input.
 
 Unit feedback (basic, and steered at phi = 0) has a closed form.  With
 ``S_n`` and ``X_n`` the prefix sums of input and output on one rail and
@@ -48,14 +52,16 @@ rotated and channel-matched feedback always run the loop.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 __all__ = [
     "DitherSpec",
     "ModulationResult",
+    "Workspace",
     "one_bit",
     "sd_basic",
     "sd_dithered",
@@ -105,6 +111,29 @@ class ModulationResult:
     peak_integrator: Union[float, np.ndarray]
 
 
+class Workspace:
+    """Named scratch buffers that grow and never shrink.
+
+    Repeated blocks of one run reuse the same memory instead of allocating,
+    and first touching, fresh arrays each time.  Every array that is live at
+    the same time needs its own name.  Scope a workspace to one run: its
+    buffers stay allocated for as long as it lives.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, name: str, shape, dtype=complex) -> np.ndarray:
+        """A C-contiguous ``shape`` view at the start of buffer ``name``; the
+        contents are whatever the buffer held."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
 def one_bit(values: np.ndarray) -> np.ndarray:
     """Per-rail sign quantizer onto {+-1 +-1j}, with sign(0) = +1 on each rail."""
     values = np.asarray(values)
@@ -124,7 +153,8 @@ def _sign_into(values, out):
     out -= 1.0
 
 
-def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
+def _run(xbar, feedback, dither=None, overload_limit=2.0,
+         work=None) -> ModulationResult:
     """Shared recursion: b_n = f_n * b_{n-1} + xbar_n - f_n * x_{n-1}.
 
     ``feedback`` is a scalar, an (N,) vector, or an (N, ...) array whose
@@ -132,11 +162,14 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
     feedback multiplier f_n.  ``dither``,
     shaped like xbar, is added at the quantizer input (real part to the
     in-phase rail, imaginary part to the quadrature rail).  Undithered unit
-    feedback runs in closed form unless a run fails its certificate.
+    feedback runs in closed form unless a run fails its certificate.  The
+    output and traces live in ``work`` (a fresh :class:`Workspace` if None).
     """
     xbar = np.asarray(xbar, dtype=complex)
     if xbar.ndim < 1 or xbar.shape[0] < 1:
         raise ValueError("xbar must have at least one antenna entry")
+    if work is None:
+        work = Workspace()
     shape, tail = xbar.shape, xbar.shape[1:]
     # Batch axes run as one: every numpy call costs less on 1-D rows.
     flat = xbar.reshape(shape[0], -1)
@@ -153,10 +186,11 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
 
     unit = dither is None and np.all(fb == 1)
     if unit:
-        x, b, q, rail_peak, certified = _unit_feedback(flat)
+        x, b, q, rail_peak, certified = _unit_feedback(flat, work)
     if not unit or not certified.all():
-        x, b = _recursion(flat, fb, dither)
-        q = x - b
+        # Reads only xbar, fb and dither, none of which is x, b or q.
+        x, b = _recursion(flat, fb, dither, work)
+        q = np.subtract(x, b, out=work.array("q", flat.shape))
         rail_peak = _rail_peak(b)
 
     rail_peak = rail_peak.reshape(tail)
@@ -173,15 +207,16 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0) -> ModulationResult:
     )
 
 
-def _recursion(xbar, fb, dither=None):
-    """The loop itself on (N, runs) input; returns ``(x, b)``, both (N, runs).
+def _recursion(xbar, fb, dither, work):
+    """The loop itself on (N, runs) input; returns ``(x, b)``, both (N, runs)
+    in ``work``.
 
     ``fb`` is (N,) or (N, runs).  This is the reference arithmetic: every
     step evaluates ``f*b_prev + (xbar[n] - f*x_prev)`` and quantizes its
-    sum with ``dither[n]``.
+    sum with ``dither[n]`` (None for no dither).
     """
-    x = np.empty(xbar.shape, dtype=complex)
-    b = np.empty(xbar.shape, dtype=complex)
+    x = work.array("x", xbar.shape)
+    b = work.array("b", xbar.shape)
     xf, bf = x.view(float), b.view(float)
     fx = np.empty(xbar.shape[1:], dtype=complex)
     v = np.empty_like(fx)
@@ -201,20 +236,21 @@ def _recursion(xbar, fb, dither=None):
     return x, b
 
 
-def _unit_feedback(xbar):
+def _unit_feedback(xbar, work):
     """Closed form of the unit-feedback loop on (N, runs) input.
 
-    Returns ``(x, b, q, rail_peak, certified)``; see the module docstring.
-    Runs whose ``certified`` entry is False carry no guarantee.
+    Returns ``(x, b, q, rail_peak, certified)`` with the arrays in ``work``;
+    see the module docstring.  Runs whose ``certified`` entry is False carry
+    no guarantee.
     """
     n_ant = xbar.shape[0]
-    b = np.empty(xbar.shape, dtype=complex)      # prefix sums S, then b
+    b = work.array("b", xbar.shape)              # prefix sums S, then b
     b[0] = xbar[0]
     for n in range(1, n_ant):
         np.add(b[n - 1], xbar[n], out=b[n])
     s = b.view(float)
-    xsum = np.empty_like(s)                      # prefix sums X, then q
-    x = np.empty_like(s)
+    xsum = work.array("q", s.shape, float)       # prefix sums X, then q
+    x = work.array("x", s.shape, float)
     parity = (np.arange(n_ant) % 2.0)[:, None]
     # Non-finite runs fail the check below and are redone by the loop.
     with np.errstate(invalid="ignore"):
@@ -246,49 +282,60 @@ def _rail_peak(b):
     return np.maximum(f.max(axis=0), -f.min(axis=0)).reshape(-1, 2).max(axis=1)
 
 
-def sd_basic(xbar) -> ModulationResult:
+def sd_basic(xbar, work: Optional[Workspace] = None) -> ModulationResult:
     """First-order sigma-delta over the antenna index, one modulator per rail.
 
     Never raises on overload; an integrator rail beyond magnitude 2 only sets
     the ``overloaded`` flag, since bounded errors are still possible there.
+    ``work`` holds the result's arrays (see the module docstring).
     """
-    return _run(xbar, 1.0)
+    return _run(xbar, 1.0, work=work)
 
 
-def sd_dithered(xbar, dither: DitherSpec) -> ModulationResult:
+def sd_dithered(xbar, dither: DitherSpec,
+                work: Optional[Workspace] = None) -> ModulationResult:
     """Basic modulator with uniform dither added at the quantizer input.
 
-    ``level == 0`` reproduces :func:`sd_basic` bit for bit.
+    ``level == 0`` reproduces :func:`sd_basic` bit for bit.  ``work`` holds
+    the result's arrays and the dither (see the module docstring).
     """
     xbar = np.asarray(xbar, dtype=complex)
+    if work is None:
+        work = Workspace()
     rng = np.random.default_rng(dither.seed)
     u = rng.uniform(-dither.level, dither.level,
                     size=xbar.shape[1:] + (xbar.shape[0], 2))
     # Antenna-major, like the recursion reads it.
-    u = np.ascontiguousarray(np.moveaxis(u.view(complex)[..., 0], -1, 0))
-    return _run(xbar, 1.0, dither=u, overload_limit=2.0 + dither.level)
+    d = work.array("dither", xbar.shape)
+    np.copyto(d, np.moveaxis(u.view(complex)[..., 0], -1, 0))
+    return _run(xbar, 1.0, dither=d, overload_limit=2.0 + dither.level,
+                work=work)
 
 
-def sd_angle_steered(xbar, phi: float) -> ModulationResult:
+def sd_angle_steered(xbar, phi: float,
+                     work: Optional[Workspace] = None) -> ModulationResult:
     """Sigma-delta with the feedback rotated by exp(1j*phi) each step.
 
     The rotation moves the null of the shaped quantization error from
     broadside to the spatial angle whose phase progression is ``phi``;
     ``phi = 0`` reduces to :func:`sd_basic`.  The rails couple through the
-    rotation, so the recursion is genuinely complex here.
+    rotation, so the recursion is genuinely complex here.  ``work`` holds
+    the result's arrays (see the module docstring).
     """
     if not -np.pi <= phi <= np.pi:
         raise ValueError("phi must lie in [-pi, pi]")
-    return _run(xbar, cmath.exp(1j * phi))
+    return _run(xbar, cmath.exp(1j * phi), work=work)
 
 
-def sd_generalized(xbar, gains) -> ModulationResult:
+def sd_generalized(xbar, gains,
+                   work: Optional[Workspace] = None) -> ModulationResult:
     """Channel-matched modulator: feedback ratio h_{n-1}/h_n at step n.
 
     ``gains`` must be nonzero and in nondecreasing magnitude order (see
     ``channel.canonicalize_gains``); shape ``(N,)``, or ``(N, ...)`` with
     ``gains[n]`` broadcastable against ``xbar[n]``.  With this feedback every interior quantization error cancels
-    out of ``h^T x``, leaving only the last antenna's error.
+    out of ``h^T x``, leaving only the last antenna's error.  ``work`` holds
+    the result's arrays (see the module docstring).
     """
     h = np.asarray(gains, dtype=complex)
     ratios = _feedback_ratios(h)
@@ -296,7 +343,7 @@ def sd_generalized(xbar, gains) -> ModulationResult:
     if np.any(mags[:-1] > mags[1:]):
         raise ValueError("gains must be sorted by nondecreasing magnitude; "
                          "canonicalize the channel first")
-    return _run(xbar, ratios)
+    return _run(xbar, ratios, work=work)
 
 
 def _feedback_ratios(gains) -> np.ndarray:

@@ -249,7 +249,8 @@ def _apg(x0, step, params: ApgParams, problem, forward, value, grad,
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = ((t - 1.0) / t_new)[:, None]
         x_ex = x_new + beta * (x_new - x)
-        y_ex = y_new + beta * (y_new - y)
+        # Where the image is the iterate itself, so is the extrapolation.
+        y_ex = x_ex if y_new is x_new else y_new + beta * (y_new - y)
 
         done = live & (np.linalg.norm(x_new - x, axis=-1) <= params.tol)
         x, y, t, f_cur = x_new, y_new, t_new, f_new
@@ -373,6 +374,34 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
                          restarts=restarts)
 
 
+def _peak_exp(x, smoothing, buf):
+    """Shifted exponentials of the peak-rail log-sum-exp of ``(rows, m)``
+    ``x``, whose entries are ``z = [x, -x]``.
+
+    Writes ``exp((z - zmax)/mu)`` into the first rows of the ``(>= rows, 2m)``
+    ``buf`` and returns it with ``zmax = max|x|`` and the row sums, both
+    ``(rows, 1)``: the steps of :func:`_log_sum_exp` on ``z`` bit for bit,
+    without building ``z``, since ``max z = max|x|`` and
+    ``-x - zmax = -(x + zmax)`` exactly.
+    """
+    m = x.shape[-1]
+    zmax = np.abs(x).max(axis=-1, keepdims=True)
+    w = buf[:len(x)]
+    np.subtract(x, zmax, out=w[:, :m])
+    np.add(x, zmax, out=w[:, m:])
+    np.negative(w[:, m:], out=w[:, m:])
+    w /= smoothing
+    np.exp(w, out=w)
+    return w, zmax, w.sum(axis=-1, keepdims=True)
+
+
+def _peak_value(x, smoothing, buf):
+    """``_log_sum_exp(np.concatenate([x, -x], axis=-1), smoothing)[0]`` bit
+    for bit, without the concatenation or the softmax weights."""
+    _, zmax, wsum = _peak_exp(x, smoothing, buf)
+    return zmax[:, 0] + smoothing * np.log(wsum[:, 0])
+
+
 def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
                     params: Optional[ApgParams] = None,
                     ) -> Tuple[np.ndarray, ApgResult]:
@@ -402,13 +431,14 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     if diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
         raise ValueError("steering matrix is rank deficient")
     q_conj = np.conj(q)
-
-    def smoothed_peak(x, mu):
-        return _log_sum_exp(np.concatenate([x, -x], axis=-1), mu)[0]
+    # Room for the exponentials of every instance, rows shrinking with the
+    # live batch of _apg; value and gradient never hold it at the same time.
+    buf = np.empty((int(np.prod(r.shape[:-1])), 4 * n))
 
     def feasible_grad(x, mu):
-        _, w = _log_sum_exp(np.concatenate([x, -x], axis=-1), mu)
-        g = unstack_complex(w[..., :2 * n] - w[..., 2 * n:])
+        w, _, wsum = _peak_exp(x, mu, buf)
+        w /= wsum
+        g = unstack_complex(w[:, :2 * n] - w[:, 2 * n:])
         return stack_complex(g - (g @ q_conj) @ q.T)
 
     rr = stack_complex(r)                         # (..., 2N)
@@ -438,7 +468,7 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
         # pinned to it.  The image of an iterate is the iterate itself.
         x, stage_iters, converged, stage_restarts = _apg(
             x, mu / 2.04, replace(params, tol=tol, max_iters=iters), None,
-            lambda _, v: v, lambda v: smoothed_peak(v, mu),
+            lambda _, v: v, lambda v: _peak_value(v, mu, buf),
             lambda _, v: feasible_grad(v, mu), lambda v: v)
         iterations += stage_iters
         restarts += stage_restarts

@@ -86,7 +86,8 @@ def _scalars(metadata: dict) -> dict:
 
 
 def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
-               steered: bool = False) -> PrecodeOutput:
+               steered: bool = False,
+               work: Optional[modulator.Workspace] = None) -> PrecodeOutput:
     """Conjugate beamforming toward single-path users, batched.
 
     ``angles``, ``gains`` and ``symbols`` broadcast to the batch shape.  All
@@ -96,7 +97,9 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
     for the feedback rotation ``phi = 2 pi (d/lambda) sin(angle)``, which
     nulls the shaped quantization error along the user's phase progression;
     the plain design is the ``phi = 0`` case.  ``metadata`` carries ``phi``
-    (feed it to ``modulator.sd_angle_steered``) and ``amplitude``.
+    (feed it to ``modulator.sd_angle_steered``) and ``amplitude``.  With
+    ``work``, ``xbar`` is written into its ``"xbar"`` buffer (see
+    :class:`modulator.Workspace`).
     """
     angles = np.asarray(angles, dtype=float)
     gains = np.asarray(gains, dtype=complex)
@@ -107,7 +110,8 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
     amp = modulator.no_overload_amplitude(phi)
     u = amp * (np.conj(gains) / np.abs(gains)) * symbols
     rows = steering_matrix(geometry, angles)
-    xbar = np.conj(_antenna_first(rows, max(np.ndim(u), angles.ndim))) * u
+    ramp = np.conj(_antenna_first(rows, max(np.ndim(u), angles.ndim)))
+    xbar = np.multiply(ramp, u, out=_xbar_out(work, ramp, u))
     coherent = amp * geometry.n_antennas * np.abs(gains)
     return PrecodeOutput(
         xbar=xbar,
@@ -136,8 +140,28 @@ def mrt_angle_steered(channel: SinglePathChannel, geometry: ArrayGeometry,
     return out, out.metadata["phi"]
 
 
+def _xbar_out(work, lead, other):
+    """Where a design writes ``xbar = lead * other``: a fresh array (None),
+    or the ``"xbar"`` buffer of ``work``.
+
+    The buffer view takes the axis order of ``lead`` when that has the full
+    shape, as the fresh product would: downstream reductions then read the
+    same layout with or without a workspace.
+    """
+    if work is None:
+        return None
+    shape = np.broadcast_shapes(lead.shape, np.shape(other))
+    order = list(range(len(shape)))
+    if lead.shape == shape:
+        order.sort(key=lambda axis: -lead.strides[axis])
+    view = work.array("xbar", tuple(shape[axis] for axis in order))
+    return view.transpose(np.argsort(order))
+
+
 def mrt_generalized(gains, symbols,
-                    amplitudes: Optional[np.ndarray] = None) -> PrecodeOutput:
+                    amplitudes: Optional[np.ndarray] = None,
+                    work: Optional[modulator.Workspace] = None
+                    ) -> PrecodeOutput:
     """Per-antenna matched weighting for an arbitrary (canonical) channel.
 
     ``gains`` is ``(N, ...)`` with the antenna axis first and ``symbols``
@@ -150,7 +174,8 @@ def mrt_generalized(gains, symbols,
     metadata mask ``rescaled``.
 
     ``amplitudes`` overrides the safe profile, e.g. all ones for the
-    unquantized benchmark or for deliberately overloaded runs.
+    unquantized benchmark or for deliberately overloaded runs.  ``work``
+    holds ``xbar`` as in :func:`mrt_arrays`.
     """
     if isinstance(gains, CanonicalGains):
         h = gains.coefficients
@@ -167,14 +192,15 @@ def mrt_generalized(gains, symbols,
 
     rail_max = np.maximum(np.abs(h.real), np.abs(h.imag))
     weights = amp * np.conj(h) / rail_max
-    xbar = weights * symbols
+    xbar = np.multiply(weights, symbols,
+                       out=_xbar_out(work, weights, symbols))
 
     spill = np.maximum(np.abs(xbar.real), np.abs(xbar.imag)) > amp * (1.0 + 1e-12)
     if np.any(spill):
         rail_min = np.minimum(np.abs(h.real), np.abs(h.imag))
         shrink = rail_max / (rail_max + rail_min)
         weights = np.where(spill, weights * shrink, weights)
-        xbar = weights * symbols
+        np.multiply(weights, symbols, out=xbar)
 
     coherent = (h * weights).real
     return PrecodeOutput(

@@ -115,22 +115,26 @@ def _tally(counts: _Counts, rx, amp_scale, gains, s_idx, const: Constellation):
         counts.bit_errors += int(bit_errors(const, idx, s_idx).sum())
 
 
-def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None):
-    """Dispatch the configured one-bit stage; xbar has the antenna axis first."""
+def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None,
+              work=None):
+    """Dispatch the configured one-bit stage; xbar has the antenna axis first.
+
+    With a ``modulator.Workspace`` the output is a view into it.
+    """
     mod = cfg.modulator
     if mod == "unquantized":
         return xbar
     if mod == "direct":
         return modulator.one_bit(xbar)
     if mod == "basic":
-        return modulator.sd_basic(xbar).output
+        return modulator.sd_basic(xbar, work=work).output
     if mod == "dithered":
         spec = modulator.DitherSpec(cfg.dither_level, seed=rng_dither)
-        return modulator.sd_dithered(xbar, spec).output
+        return modulator.sd_dithered(xbar, spec, work=work).output
     if mod == "steered":
-        return modulator.sd_angle_steered(xbar, steer_phi).output
+        return modulator.sd_angle_steered(xbar, steer_phi, work=work).output
     if mod == "generalized":
-        return modulator.sd_generalized(xbar, gains).output
+        return modulator.sd_generalized(xbar, gains, work=work).output
     raise ConfigError(f"config.modulator: unknown modulator {mod!r}")
 
 
@@ -138,7 +142,8 @@ def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None):
 # Single-user pipeline (shared by SER, scatter, and spectrum runs)
 # ---------------------------------------------------------------------------
 
-def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
+def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use,
+                    work):
     """MRT toward one user: plain or angle steered toward a fixed-angle path,
     or channel matched over an i.i.d. Gaussian channel.
 
@@ -149,6 +154,10 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
     i.i.d. channel is sorted by magnitude per trial (the matched modulator's
     canonical order), and ``y`` uses the sorted channel, which is equivalent
     to un-permuting the antenna vector; there ``alpha = 1``.
+
+    ``work`` (a ``modulator.Workspace``) holds the precode target and the
+    modulator arrays, so ``x`` is valid only until the workspace's next
+    use.
     """
     s_idx = rngs[_SYM].integers(0, const.order, n_use)
     if cfg.channel.model == "iid_gaussian":
@@ -157,23 +166,25 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use):
         hs = np.take_along_axis(h, order, axis=1).T        # (N, B) ascending |h|
         safe = cfg.modulator == "generalized" and cfg.amplitude_mode == "safe"
         out = precoder.mrt_generalized(hs, const.points[s_idx],
-                                       amplitudes=None if safe else 1.0)
-        x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=hs)
+                                       amplitudes=None if safe else 1.0,
+                                       work=work)
+        x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=hs, work=work)
         alpha, y = 1.0, np.einsum("nb,nb->b", hs, x)
     else:
         geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
         theta = math.radians(cfg.channel.angle_deg)
         alpha = np.exp(1j * rngs[_CH].uniform(-math.pi, math.pi, n_use))
         out = precoder.mrt_arrays(geom, theta, alpha, const.points[s_idx],
-                                  steered=cfg.scheme == "mrt_steered")
+                                  steered=cfg.scheme == "mrt_steered",
+                                  work=work)
         x = _modulate(cfg, out.xbar, rngs[_DITHER],
-                      steer_phi=out.metadata["phi"])
+                      steer_phi=out.metadata["phi"], work=work)
         y = array_response(geom, theta) @ x
     return x, out.gains[:, 0], s_idx, alpha, y
 
 
-def _kernel_single_user(cfg, const, power, rngs, n_use) -> _Counts:
-    x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use)
+def _kernel_single_user(cfg, const, power, rngs, n_use, work) -> _Counts:
+    x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use, work)
     noise = _complex_normal(rngs[_NOISE], (n_use,))
     amp_scale = math.sqrt(power / (2.0 * cfg.n_antennas))
     counts = _Counts(trials=n_use)
@@ -307,11 +318,20 @@ class SerCurve:
                    f"{self.ci_halfwidth[i]:.10g},{int(self.trials[i])}")
 
 
-def _run_point(cfg: SimConfig, point: int) -> tuple:
+def _run_point(cfg: SimConfig, point: int, work=None) -> tuple:
+    """Counts and closed-form bound at one SNR point.
+
+    The single-user kernel runs its blocks in ``work`` (a fresh workspace if
+    None).  The multi-user kernel stays off it: modulator buffers held
+    across its steering build would raise the run's peak footprint.
+    """
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
     power = 10.0 ** (cfg.snr_db[point] / 10.0)
-    kernel = _kernel_multiuser if cfg.channel.model == "multi_user" \
-        else _kernel_single_user
+    if cfg.channel.model == "multi_user":
+        kernel = _kernel_multiuser
+    else:
+        kernel = partial(_kernel_single_user,
+                         work=modulator.Workspace() if work is None else work)
 
     totals = _Counts()
     for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SER, point, cfg.trials):
@@ -327,6 +347,8 @@ def run_ser(cfg: SimConfig, n_workers: int = 1) -> SerCurve:
 
     ``n_workers > 1`` farms SNR points out to worker processes; results are
     reduced in point order, so the outcome does not depend on worker count.
+    A serial run shares one ``modulator.Workspace`` across its points; each
+    worker's point makes its own.
     """
     cfg.validate()
     points = range(len(cfg.snr_db))
@@ -335,7 +357,8 @@ def run_ser(cfg: SimConfig, n_workers: int = 1) -> SerCurve:
                                                  len(cfg.snr_db))) as pool:
             results = list(pool.map(partial(_run_point, cfg), points))
     else:
-        results = [_run_point(cfg, p) for p in points]
+        work = modulator.Workspace()
+        results = [_run_point(cfg, p, work) for p in points]
 
     col = {f.name: np.array([getattr(c, f.name) for c, _ in results],
                             dtype=np.int64) for f in fields(_Counts)}
@@ -374,8 +397,10 @@ def run_iq_scatter(cfg: SimConfig, n_realizations: Optional[int] = None):
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
 
     sent, received = [], []
+    work = modulator.Workspace()
     for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SCATTER, 0, n_total):
-        x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use)
+        x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use,
+                                                   work)
         sent.append(const.points[s_idx])
         received.append(alpha * y / gain)
     return np.concatenate(sent), np.concatenate(received)
@@ -424,8 +449,9 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
     grid = steering_matrix(geom, np.deg2rad(angles_deg))
 
     power_sum = np.zeros(angles_deg.size)
+    work = modulator.Workspace()
     for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SPECTRUM, 0, n_total):
-        x = _single_user_tx(cfg, const, rngs, n_use)[0]
+        x = _single_user_tx(cfg, const, rngs, n_use, work)[0]
         power_sum += (np.abs(grid @ x) ** 2).sum(axis=1)
     ref = float(cfg.n_antennas) ** 2
     db = 10.0 * np.log10(np.maximum(power_sum / n_total, 1e-300) / ref)

@@ -11,6 +11,7 @@ from sdprecode import modulator
 from sdprecode.channel import canonicalize_gains
 from sdprecode.modulator import (
     DitherSpec,
+    Workspace,
     no_overload_amplitude,
     no_overload_amplitudes_generalized,
     one_bit,
@@ -253,7 +254,8 @@ def _loop(xbar):
     """The loop on every run of ``xbar``: ``(x, b, peak, overloaded)``."""
     xbar = np.asarray(xbar, dtype=complex)
     flat = xbar.reshape(xbar.shape[0], -1)
-    x, b = modulator._recursion(flat, np.ones(flat.shape[0], complex))
+    x, b = modulator._recursion(flat, np.ones(flat.shape[0], complex), None,
+                                Workspace())
     peak = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=0)
     peak = peak.reshape(xbar.shape[1:])
     return x.reshape(xbar.shape), b.reshape(xbar.shape), peak, ~(peak <= 2.0)
@@ -336,6 +338,63 @@ class TestClosedFormAgainstLoop:
             xbar = (np.round(xbar.real * 2 ** bits)
                     + 1j * np.round(xbar.imag * 2 ** bits)) / 2 ** bits
         _assert_matches_loop(sd_basic(xbar), xbar)
+
+
+_CANONICAL = canonicalize_gains(
+    _box_inputs(np.random.default_rng(22), 48, 1)[:, 0]).coefficients
+MODULATORS = {
+    "basic": lambda xbar, work: sd_basic(xbar, work=work),
+    "dithered": lambda xbar, work: sd_dithered(
+        xbar, DitherSpec(0.3, seed=11), work=work),
+    "steered": lambda xbar, work: sd_angle_steered(xbar, 0.7, work=work),
+    "generalized": lambda xbar, work: sd_generalized(xbar, _CANONICAL,
+                                                     work=work),
+}
+
+
+def _assert_same_bits(res, ref):
+    for name in ("output", "quant_error", "integrator_trace", "overloaded",
+                 "peak_integrator"):
+        a, b = np.asarray(getattr(res, name)), np.asarray(getattr(ref, name))
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestWorkspace:
+    """A reused workspace changes where the arrays live, never their bits."""
+
+    @pytest.mark.parametrize("name", sorted(MODULATORS))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_reused_workspace_is_bitwise_fresh(self, name):
+        modulate = MODULATORS[name]
+        rng = np.random.default_rng(24)
+        with_nan = _box_inputs(rng, 48, 4, bound=0.9)
+        with_nan[7, 2] = complex(np.nan, 0.2)     # fails the certificate
+        cases = [_box_inputs(rng, 48, 10, bound=0.9),
+                 _box_inputs(rng, 48, 3, bound=1.2),      # narrower
+                 with_nan,
+                 _box_inputs(rng, 48, 6).reshape(48, 2, 3)]
+        work = Workspace()
+        first = None
+        for xbar in cases:
+            res = modulate(xbar, work)
+            _assert_same_bits(res, modulate(xbar, None))
+            if first is None:
+                first = res.output
+            assert np.shares_memory(res.output, first)
+        assert np.asarray(modulate(with_nan, None).overloaded).any()
+
+    def test_views_grow_and_keep_their_buffer(self):
+        work = Workspace()
+        a = work.array("x", (4, 3))
+        b = work.array("x", (2, 5))
+        c = work.array("x", (3, 6), float)
+        assert b.flags.c_contiguous and np.shares_memory(a, b)
+        assert np.shares_memory(a, c)
+        assert not np.shares_memory(a, work.array("y", (4, 3)))
+        d = work.array("x", (8, 8))                 # grows: a new buffer
+        assert not np.shares_memory(a, d)
+        assert np.shares_memory(d, work.array("x", (1,)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from sdprecode import optim
 from sdprecode.optim import (
     ApgParams,
     MinimaxProblem,
@@ -382,6 +383,26 @@ class TestMinIqInfNorm:
         np.testing.assert_array_equal(res_c.value, c * res.value)
         np.testing.assert_array_equal(res_c.iterations, res.iterations)
         np.testing.assert_array_equal(res_c.converged, res.converged)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_peak_smoothing_is_the_concatenated_log_sum_exp(self, seed):
+        # The value and weights of the smoothed peak equal those of the
+        # log-sum-exp over [x, -x] bit for bit, with entries exactly at
+        # +-max|x| (each row's maximum itself and its negation) and zero
+        # rows among them.
+        rng = np.random.default_rng(seed)
+        mu = 10.0 ** rng.uniform(-4, -1)
+        x = rng.normal(size=(9, 24)) * 10.0 ** rng.uniform(-3, 3, (9, 1))
+        x[:, 5] = np.abs(x).max(axis=-1)
+        x[:, 6] = -x[:, 5]
+        x[2] = 0.0
+        x[7] = -0.0
+        buf = np.full((12, 48), np.nan)                 # more rows than x
+        value, weights = optim._log_sum_exp(np.concatenate([x, -x], axis=-1),
+                                            mu)
+        assert optim._peak_value(x, mu, buf).tobytes() == value.tobytes()
+        w, _, wsum = optim._peak_exp(x, mu, buf)
+        assert (w / wsum).tobytes() == weights.tobytes()
 
     def test_rank_deficient_steering_rejected(self):
         row = np.exp(1j * np.arange(6))

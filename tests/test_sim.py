@@ -1,13 +1,15 @@
 """Monte Carlo engine: reproducibility, seeding discipline, and pipelines."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from sdprecode.modulator import one_bit, sd_basic
+from sdprecode.channel import make_constellation
+from sdprecode.modulator import Workspace, one_bit, sd_basic
 from sdprecode.sim import (
     ConfigError,
     SimConfig,
@@ -15,6 +17,7 @@ from sdprecode.sim import (
     run_ser,
     run_spectrum,
 )
+from sdprecode.sim import engine
 from sdprecode.sim.engine import _complex_normal
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -280,6 +283,34 @@ class TestSingleUserPipelines:
         curve = run_ser(cfg)
         assert curve.trials[0] < 100000
         assert curve.symbol_errors[0] >= 200
+
+
+class TestSingleUserMemory:
+    def test_later_blocks_reuse_the_workspace(self):
+        # Blocks of the shipped mrt_broadside config: 256 antennas, 1024
+        # trials.  The first block fills the workspace with xbar and the
+        # modulator's three arrays, 4 MiB each; a later block allocates
+        # nothing of that size.
+        cfg = SimConfig.from_dict(
+            yaml.safe_load((CONFIGS / "mrt_broadside.yaml").read_text()))
+        const = make_constellation(cfg.constellation_kind,
+                                   cfg.constellation_order)
+        work = Workspace()
+        peaks = []
+        for block in range(2):
+            rngs = engine._streams(cfg.seed, 0, 0, block)
+            tracemalloc.start()
+            try:
+                counts = engine._kernel_single_user(
+                    cfg, const, 1.0, rngs, engine.RNG_BATCH, work)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert counts.trials == engine.RNG_BATCH
+            peaks.append(peak)
+        array_bytes = cfg.n_antennas * engine.RNG_BATCH * 16
+        assert peaks[0] >= 4 * array_bytes
+        assert peaks[1] <= array_bytes / 4
 
 
 class TestScatter:
