@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import (
     ArrayGeometry,
@@ -25,6 +24,7 @@ from .channel import (
     SinglePathChannel,
     steering_gram,
     steering_matrix,
+    steering_tables,
 )
 
 __all__ = [
@@ -64,7 +64,13 @@ class SepBoundParams(NamedTuple):
 
 
 def qfunc(t):
-    """Gaussian tail probability Q(t)."""
+    """Gaussian tail probability Q(t).
+
+    SciPy is imported on the first call, so runs without a closed-form
+    error bound never load it.
+    """
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
@@ -266,7 +272,7 @@ def zf_snr_lower_bound(scene: MultiUserScene) -> ZfSnrBound:
     angles, gains = scene.single_path_arrays()
     geom = scene.geometry
     n, k_users = geom.n_antennas, scene.n_users
-    r = steering_gram(steering_matrix(geom, angles))
+    r = steering_gram(steering_tables(geom, angles))
     lam_min = float(np.linalg.eigvalsh(r)[0])
 
     if k_users > 1:

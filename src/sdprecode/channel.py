@@ -1,14 +1,17 @@
 """Array geometry, downlink channel models, constellations, and symbol decisions.
 
 Everything here is a plain immutable value; instances are safe to share
-across concurrent Monte Carlo workers.
+across concurrent Monte Carlo workers.  A uniform linear array's steering
+rows are phase ramps, held as a fine and a coarse phase table
+(:func:`steering_tables`); the Gram and the receive product work from the
+tables, and :func:`steering_rows` writes the rows where they are needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -22,8 +25,11 @@ __all__ = [
     "MultiUserScene",
     "Constellation",
     "array_response",
+    "steering_tables",
+    "steering_rows",
     "steering_matrix",
     "steering_gram",
+    "steering_product",
     "realize_channel",
     "canonicalize_gains",
     "make_constellation",
@@ -203,15 +209,18 @@ def _ramp_split(n: int) -> int:
     return max(l for l in range(1, math.isqrt(n) + 1) if n % l == 0)
 
 
-def steering_matrix(geometry: ArrayGeometry, angles) -> np.ndarray:
-    """Array responses, one row per angle: shape ``angles.shape + (N,)``.
+def steering_tables(geometry: ArrayGeometry,
+                    angles) -> Tuple[np.ndarray, np.ndarray]:
+    """The two phase tables of the steering rows: ``(fine, coarse)``.
 
-    With ``z = exp(-1j * 2*pi*(d/lambda) * sin(angle))``, element
-    ``n = m L + r`` is ``z^(mL) * z^r``: only a fine table (``r < L``) and a
-    coarse one (``m < N/L``) are exponentiated, and one product writes the
-    stack (:func:`_ramp_split` gives L).  Both tables start at exactly 1, so
-    ``row[:L]`` and ``row[::L]`` are the tables themselves, bit for bit;
-    :func:`steering_gram` relies on that.
+    With ``z = exp(-1j * 2*pi*(d/lambda) * sin(angle))`` and L from
+    :func:`_ramp_split`, ``fine`` holds ``z^r`` for ``r < L`` and ``coarse``
+    holds ``z^(mL)`` for ``m < N/L``, shapes ``angles.shape + (L,)`` and
+    ``angles.shape + (N/L,)``.  Element ``n = m L + r`` of a row is
+    ``coarse[m] * fine[r]`` (:func:`steering_rows`).  Both tables start at
+    exactly 1, so they are the row's columns ``[:L]`` and ``[::L]`` bit for
+    bit.  The zero-forcing designs work from the tables and never hold the
+    whole ``(..., K, N)`` stack.
     """
     angles = np.asarray(angles, dtype=float)
     if np.any(angles < -_HALF_PI) or np.any(angles > _HALF_PI):
@@ -222,35 +231,67 @@ def steering_matrix(geometry: ArrayGeometry, angles) -> np.ndarray:
     fine = np.exp(-1j * np.multiply.outer(phase, np.arange(fine_len)))
     coarse = np.exp(-1j * np.multiply.outer(
         phase, fine_len * np.arange(n // fine_len)))
+    return fine, coarse
+
+
+def steering_rows(tables) -> np.ndarray:
+    """Phase-ramp rows ``(..., N)`` from their ``(fine, coarse)`` tables
+    (:func:`steering_tables`): one product, ``coarse[m] * fine[r]``."""
+    fine, coarse = tables
     out = np.multiply(coarse[..., :, None], fine[..., None, :])
-    return out.reshape(angles.shape + (n,))
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
-def steering_gram(steering) -> np.ndarray:
-    """Normalized Gram matrices ``S S^H / N`` of phase-ramp rows ``(..., K, N)``.
+def steering_matrix(geometry: ArrayGeometry, angles) -> np.ndarray:
+    """Array responses, one row per angle: shape ``angles.shape + (N,)``.
 
-    Rows must be phase ramps ``z^n``, as :func:`steering_matrix` returns.
-    Then the Gram is the elementwise product of the Grams of the fine
-    columns ``S[..., :L]`` and the coarse columns ``S[..., ::L]``, at
-    ``O(K^2 (L + N/L))`` per stack instead of ``O(K^2 N)``; for a prime N
-    (L = 1) it is the full product.  For other rows the result is wrong.
+    Row ``n`` is ``exp(-1j * n * 2*pi*(d/lambda) * sin(angle))``, written as
+    the product of a fine and a coarse table (:func:`steering_tables`), so
+    only ``L + N/L`` exponentials are taken per angle.
     """
-    steering = np.asarray(steering)
-    n = steering.shape[-1]
-    fine_len = _ramp_split(n)
+    return steering_rows(steering_tables(geometry, angles))
+
+
+def steering_gram(tables) -> np.ndarray:
+    """Normalized Gram matrices ``S S^H / N`` of phase-ramp rows, from their
+    ``(fine, coarse)`` tables (:func:`steering_tables`), ``(..., K, K)``.
+
+    The Gram of rows ``z^n`` is the elementwise product of the Grams of the
+    fine and the coarse table, at ``O(K^2 (L + N/L))`` per stack instead of
+    ``O(K^2 N)``; for a prime N (L = 1) it is the full product.
+    """
+    fine, coarse = tables
     # The larger, coarse factor first, so the temporaries of the two factor
     # Grams never coexist.  The product keeps the operand order
     # fine * coarse, whose bits the pinned outputs carry: numpy's complex
     # multiply is not bitwise commutative.
-    gram = _gram(steering[..., ::fine_len])
-    np.multiply(_gram(steering[..., :fine_len]), gram, out=gram)
-    gram /= n
+    gram = _gram(coarse)
+    np.multiply(_gram(fine), gram, out=gram)
+    gram /= fine.shape[-1] * coarse.shape[-1]
     return gram
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
     rows = np.ascontiguousarray(rows)
     return rows @ np.conj(rows).swapaxes(-1, -2)
+
+
+def steering_product(tables, x) -> np.ndarray:
+    """``S @ x`` for the rows ``S = steering_rows(tables)`` ``(..., K, N)``
+    and ``x`` ``(..., N, T)``, without forming S.
+
+    Coarse table first: ``coarse @ x`` over the ``N/L`` blocks of L
+    antennas gives each user L partial sums per symbol time, ``(..., K, L,
+    T)``, which the fine table then weights and adds.  That is the direct
+    product's ``K N T`` multiply-adds in one batched product plus ``K L T``
+    for the fine step; it agrees with ``S @ x`` to rounding.
+    """
+    fine, coarse = tables
+    fine_len, t_len = fine.shape[-1], x.shape[-1]
+    blocks = x.reshape(x.shape[:-2] + (coarse.shape[-1], fine_len * t_len))
+    partial = coarse @ blocks
+    partial = partial.reshape(partial.shape[:-1] + (fine_len, t_len))
+    return (fine[..., None, :] @ partial)[..., 0, :]
 
 
 def realize_channel(channel: Channel, geometry: ArrayGeometry) -> np.ndarray:

@@ -67,6 +67,7 @@ __all__ = [
     "sd_dithered",
     "sd_angle_steered",
     "sd_generalized",
+    "feedback_ratios",
     "no_overload_amplitude",
     "no_overload_amplitudes_generalized",
 ]
@@ -327,27 +328,32 @@ def sd_angle_steered(xbar, phi: float,
     return _run(xbar, cmath.exp(1j * phi), work=work)
 
 
-def sd_generalized(xbar, gains,
-                   work: Optional[Workspace] = None) -> ModulationResult:
+def sd_generalized(xbar, gains, work: Optional[Workspace] = None,
+                   ratios: Optional[np.ndarray] = None) -> ModulationResult:
     """Channel-matched modulator: feedback ratio h_{n-1}/h_n at step n.
 
     ``gains`` must be nonzero and in nondecreasing magnitude order (see
     ``channel.canonicalize_gains``); shape ``(N,)``, or ``(N, ...)`` with
-    ``gains[n]`` broadcastable against ``xbar[n]``.  With this feedback every interior quantization error cancels
-    out of ``h^T x``, leaving only the last antenna's error.  ``work`` holds
-    the result's arrays (see the module docstring).
+    ``gains[n]`` broadcastable against ``xbar[n]``.  With this feedback
+    every interior quantization error cancels out of ``h^T x``, leaving
+    only the last antenna's error.  ``work`` holds the result's arrays (see
+    the module docstring).  A caller that sorted the channel itself and
+    already holds ``feedback_ratios(gains)`` passes them as ``ratios``:
+    they are used as given, without recomputing them or checking the order.
     """
-    h = np.asarray(gains, dtype=complex)
-    ratios = _feedback_ratios(h)
-    mags = np.abs(h)
-    if np.any(mags[:-1] > mags[1:]):
-        raise ValueError("gains must be sorted by nondecreasing magnitude; "
-                         "canonicalize the channel first")
+    if ratios is None:
+        h = np.asarray(gains, dtype=complex)
+        ratios = feedback_ratios(h)
+        mags = np.abs(h)
+        if np.any(mags[:-1] > mags[1:]):
+            raise ValueError("gains must be sorted by nondecreasing magnitude; "
+                             "canonicalize the channel first")
     return _run(xbar, ratios, work=work)
 
 
-def _feedback_ratios(gains) -> np.ndarray:
-    """Channel-matched feedback ``r_n = h_{n-1}/h_n``, with ``r_1 = 0``."""
+def feedback_ratios(gains) -> np.ndarray:
+    """Channel-matched feedback ``r_n = h_{n-1}/h_n``, with ``r_1 = 0``,
+    along the leading axis of ``gains``."""
     h = np.asarray(gains, dtype=complex)
     if np.any(h == 0):
         raise ValueError("channel gains must all be nonzero")
@@ -367,12 +373,15 @@ def no_overload_amplitude(phi) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def no_overload_amplitudes_generalized(gains) -> np.ndarray:
+def no_overload_amplitudes_generalized(
+        gains, ratios: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-antenna safe input amplitudes for the channel-matched modulator.
 
     With feedback ratio r_n = h_{n-1}/h_n the bound is
     ``A_n = 2 - |Re r_n| - |Im r_n|``; the first antenna has no feedback, so
     A_1 = 2, and canonical ordering keeps every later A_n in [2-sqrt(2), 2).
+    ``ratios``, if given, are ``feedback_ratios(gains)`` and are used as is.
     """
-    ratios = _feedback_ratios(gains)
+    if ratios is None:
+        ratios = feedback_ratios(gains)
     return 2.0 - np.abs(ratios.real) - np.abs(ratios.imag)

@@ -381,15 +381,14 @@ def _peak_exp(x, smoothing, buf):
     Writes ``exp((z - zmax)/mu)`` into the first rows of the ``(>= rows, 2m)``
     ``buf`` and returns it with ``zmax = max|x|`` and the row sums, both
     ``(rows, 1)``: the steps of :func:`_log_sum_exp` on ``z`` bit for bit,
-    without building ``z``, since ``max z = max|x|`` and
-    ``-x - zmax = -(x + zmax)`` exactly.
+    without building ``z``, since ``max z = max|x|`` and ``-zmax - x`` is
+    ``-x - zmax`` up to the sign of an exact zero, which ``exp`` erases.
     """
     m = x.shape[-1]
     zmax = np.abs(x).max(axis=-1, keepdims=True)
     w = buf[:len(x)]
     np.subtract(x, zmax, out=w[:, :m])
-    np.add(x, zmax, out=w[:, m:])
-    np.negative(w[:, m:], out=w[:, m:])
+    np.subtract(-zmax, x, out=w[:, m:])
     w /= smoothing
     np.exp(w, out=w)
     return w, zmax, w.sum(axis=-1, keepdims=True)

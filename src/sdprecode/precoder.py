@@ -12,8 +12,11 @@ arrays and are batched over leading axes of their inputs.  ``xbar`` puts the
 antenna axis first and the batch axes after it, the layout the modulators
 consume; ``gains`` and per-instance metadata carry the batch axes first and
 the user axis last.  Block designs end in a symbol-time axis, so one scene's
-``(K, T)`` block gives ``xbar`` of shape ``(N, T)``.  The channel- and
-scene-object functions unpack their objects and call the same array code.
+``(K, T)`` block gives ``xbar`` of shape ``(N, T)``.  The zero-forcing
+designs take the users' steering as the ``(fine, coarse)`` phase tables of
+``channel.steering_tables`` and never hold the ``(..., K, N)`` stack.  The
+channel- and scene-object functions unpack their objects and call the same
+array code.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .channel import (
     realize_channel,
     steering_gram,
     steering_matrix,
+    steering_rows,
+    steering_tables,
 )
 
 __all__ = [
@@ -160,8 +165,8 @@ def _xbar_out(work, lead, other):
 
 def mrt_generalized(gains, symbols,
                     amplitudes: Optional[np.ndarray] = None,
-                    work: Optional[modulator.Workspace] = None
-                    ) -> PrecodeOutput:
+                    work: Optional[modulator.Workspace] = None,
+                    ratios: Optional[np.ndarray] = None) -> PrecodeOutput:
     """Per-antenna matched weighting for an arbitrary (canonical) channel.
 
     ``gains`` is ``(N, ...)`` with the antenna axis first and ``symbols``
@@ -175,7 +180,9 @@ def mrt_generalized(gains, symbols,
 
     ``amplitudes`` overrides the safe profile, e.g. all ones for the
     unquantized benchmark or for deliberately overloaded runs.  ``work``
-    holds ``xbar`` as in :func:`mrt_arrays`.
+    holds ``xbar`` as in :func:`mrt_arrays`.  ``ratios`` are the channel's
+    ``modulator.feedback_ratios`` when the caller already has them for the
+    modulator; the safe profile then reuses them.
     """
     if isinstance(gains, CanonicalGains):
         h = gains.coefficients
@@ -186,7 +193,7 @@ def mrt_generalized(gains, symbols,
     if np.any(np.abs(symbols) > 1.0 + 1e-12):
         raise ValueError("symbol magnitude must not exceed 1")
     if amplitudes is None:
-        amp = modulator.no_overload_amplitudes_generalized(h)
+        amp = modulator.no_overload_amplitudes_generalized(h, ratios)
     else:
         amp = np.asarray(amplitudes, dtype=float)
 
@@ -225,20 +232,41 @@ def _scene_noise_std(scene: MultiUserScene) -> np.ndarray:
     return np.sqrt(var)
 
 
-def _zf_targets(steering, gains, noise_std, symbols) -> np.ndarray:
+# Trials whose steering rows the zero-forcing back-projection holds at once:
+# 3 MiB at K = 24, N = 512, instead of the whole chunk's stack.
+_ROWS_SLICE = 16
+
+
+def _zf_targets(tables, gains, noise_std, symbols) -> np.ndarray:
     """Interference-free directions ``(..., N, T)``: pseudo-inverse applied to
     the weighted symbols, solved through the K x K steering Gram matrix
-    (never N x N)."""
-    n = steering.shape[-1]
+    (never N x N).
+
+    The back-projection ``S^H y`` is taken as ``conj(y^H S)`` against rows
+    rebuilt from ``tables`` for ``_ROWS_SLICE`` trials at a time: the same
+    per-trial products, and so the same bits, as one product against the
+    whole stack.
+    """
+    fine, coarse = tables
+    n = fine.shape[-1] * coarse.shape[-1]
     weights = noise_std * np.conj(gains) / np.abs(gains) ** 2
     rhs = weights[..., None] * symbols
     try:
-        y = np.linalg.solve(steering_gram(steering), rhs)
+        y = np.linalg.solve(steering_gram(tables), rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("steering vectors are linearly dependent "
                          "(coincident user angles)") from exc
-    # S^H y as conj(y^H S): the steering stack is never conjugated.
-    back = np.conj(y).swapaxes(-1, -2) @ steering
+    yh = np.conj(y).swapaxes(-1, -2)
+    batch, (t_len, k) = yh.shape[:-2], yh.shape[-2:]
+    yh = yh.reshape(-1, t_len, k)
+    fine, coarse = (np.broadcast_to(a, batch + a.shape[-2:]).reshape(
+        (-1,) + a.shape[-2:]) for a in tables)
+    back = np.empty((len(yh), t_len, n), dtype=complex)
+    for lo in range(0, len(yh), _ROWS_SLICE):
+        sl = slice(lo, lo + _ROWS_SLICE)
+        np.matmul(yh[sl], steering_rows((fine[sl], coarse[sl])),
+                  out=back[sl])
+    back = back.reshape(batch + (t_len, n))
     return np.conj(back, out=back).swapaxes(-1, -2) / n
 
 
@@ -255,21 +283,22 @@ def _zf_output(v, peak, noise_std, **metadata) -> PrecodeOutput:
     )
 
 
-def zf_arrays(steering, gains, noise_std, symbols) -> PrecodeOutput:
+def zf_arrays(tables, gains, noise_std, symbols) -> PrecodeOutput:
     """Block zero-forcing with noise-weighted per-user gains, batched.
 
-    ``steering`` is ``(..., K, N)`` with every row a phase ramp ``z^n``, as
-    ``channel.steering_matrix`` returns: the Gram is built from that
-    structure (``channel.steering_gram``) and is wrong for other rows.
-    ``gains`` and ``noise_std`` are ``(..., K)`` and ``symbols`` is
-    ``(..., K, T)``.
+    ``tables`` are the users' ``(fine, coarse)`` phase tables
+    (``channel.steering_tables``), ``(..., K, L)`` and ``(..., K, N/L)``:
+    the Gram comes from them (``channel.steering_gram``) and the steering
+    rows are rebuilt from them a few trials at a time, so the ``(..., K,
+    N)`` stack is never held.  ``gains`` and ``noise_std`` are ``(..., K)``
+    and ``symbols`` is ``(..., K, T)``.
     Nulls inter-user interference and weights each user by its own noise
     standard deviation, so every user lands at the same effective SNR
     ``P gamma^2 / (2N)``.  Amplitude decisions need the receive gain to be
     constant over a block, so each block is scaled by its worst symbol
     time's peak; per-symbol zero forcing is the ``T = 1`` case.
     """
-    v = _zf_targets(steering, gains, noise_std, symbols)
+    v = _zf_targets(tables, gains, noise_std, symbols)
     return _zf_output(v, iq_inf_norm(v, axis=(-2, -1)), noise_std)
 
 
@@ -282,7 +311,7 @@ def nullspace_basis(a: np.ndarray) -> np.ndarray:
     return vh[k:].conj().T
 
 
-def nullspace_zf_arrays(steering, gains, noise_std, symbols,
+def nullspace_zf_arrays(tables, gains, noise_std, symbols,
                         params=None) -> PrecodeOutput:
     """Block zero-forcing with a nullspace component that shaves the peak.
 
@@ -295,16 +324,19 @@ def nullspace_zf_arrays(steering, gains, noise_std, symbols,
     zero-forcing one.  ``params`` is an ``optim.ApgParams`` whose smoothing
     and tolerance are fractions of each block's zero-forcing peak; scenes
     are solved one at a time because the solver scales its smoothing
-    schedule to each block.
+    schedule to each block, and each scene's steering rows are built from
+    its tables inside that loop.
     """
-    v = _zf_targets(steering, gains, noise_std, symbols)
+    v = _zf_targets(tables, gains, noise_std, symbols)
     batch = v.shape[:-2]
+    fine, coarse = tables
     shaved = np.empty_like(v)
     peak = np.empty(batch)
     converged = np.empty(batch, dtype=bool)
     iterations = np.empty(batch, dtype=np.int64)
     for i in np.ndindex(batch):
-        x, solve = optim.min_iq_inf_norm(v[i].T, steering[i], params=params)
+        x, solve = optim.min_iq_inf_norm(
+            v[i].T, steering_rows((fine[i], coarse[i])), params=params)
         shaved[i] = x.T
         peak[i] = np.max(solve.value)
         converged[i] = np.all(solve.converged)
@@ -319,7 +351,7 @@ def _scene_block(design, scene: MultiUserScene, symbols, **kwargs):
     if symbols.ndim != 2 or symbols.shape[0] != scene.n_users:
         raise ValueError("symbols must be (K, T)")
     angles, gains = scene.single_path_arrays()
-    out = design(steering_matrix(scene.geometry, angles), gains,
+    out = design(steering_tables(scene.geometry, angles), gains,
                  _scene_noise_std(scene), symbols, **kwargs)
     meta = _scalars(out.metadata)
     meta["snr_eff"] = analysis.effective_snr_zf(

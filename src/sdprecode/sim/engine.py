@@ -33,6 +33,9 @@ from ..channel import (
     decide,
     make_constellation,
     steering_matrix,
+    steering_product,
+    steering_rows,
+    steering_tables,
 )
 # Imported for bench/tracing.py, which times these by patching them on this
 # module.  Of the three, only iq_inf_norm is still called: by the precoders
@@ -116,10 +119,12 @@ def _tally(counts: _Counts, rx, amp_scale, gains, s_idx, const: Constellation):
 
 
 def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None,
-              work=None):
+              ratios=None, work=None):
     """Dispatch the configured one-bit stage; xbar has the antenna axis first.
 
-    With a ``modulator.Workspace`` the output is a view into it.
+    The channel-matched modulator takes the sorted ``gains`` and their
+    ``ratios`` (``modulator.feedback_ratios``).  With a
+    ``modulator.Workspace`` the output is a view into it.
     """
     mod = cfg.modulator
     if mod == "unquantized":
@@ -134,7 +139,8 @@ def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None,
     if mod == "steered":
         return modulator.sd_angle_steered(xbar, steer_phi, work=work).output
     if mod == "generalized":
-        return modulator.sd_generalized(xbar, gains, work=work).output
+        return modulator.sd_generalized(xbar, gains, work=work,
+                                        ratios=ratios).output
     raise ConfigError(f"config.modulator: unknown modulator {mod!r}")
 
 
@@ -153,7 +159,9 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use,
     path ``alpha`` is the channel phase per trial and ``y = a @ x``.  The
     i.i.d. channel is sorted by magnitude per trial (the matched modulator's
     canonical order), and ``y`` uses the sorted channel, which is equivalent
-    to un-permuting the antenna vector; there ``alpha = 1``.
+    to un-permuting the antenna vector; there ``alpha = 1``.  The matched
+    modulator's feedback ratios are computed once per batch, for both the
+    safe amplitude profile and the modulator.
 
     ``work`` (a ``modulator.Workspace``) holds the precode target and the
     modulator arrays, so ``x`` is valid only until the workspace's next
@@ -164,11 +172,14 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use,
         h = _complex_normal(rngs[_CH], (n_use, cfg.n_antennas))
         order = np.argsort(np.abs(h), axis=1, kind="stable")
         hs = np.take_along_axis(h, order, axis=1).T        # (N, B) ascending |h|
-        safe = cfg.modulator == "generalized" and cfg.amplitude_mode == "safe"
+        matched = cfg.modulator == "generalized"
+        ratios = modulator.feedback_ratios(hs) if matched else None
+        safe = matched and cfg.amplitude_mode == "safe"
         out = precoder.mrt_generalized(hs, const.points[s_idx],
                                        amplitudes=None if safe else 1.0,
-                                       work=work)
-        x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=hs, work=work)
+                                       work=work, ratios=ratios)
+        x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=hs, ratios=ratios,
+                      work=work)
         alpha, y = 1.0, np.einsum("nb,nb->b", hs, x)
     else:
         geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
@@ -224,32 +235,35 @@ def _draw_mu_channel(cfg: SimConfig, rng, n_use):
 
 
 def _multiuser_step(cfg, const, power, angles, alpha, symbols):
-    """Steering rows, per-user noise level and the configured design for a
+    """Steering tables, per-user noise level and the configured design for a
     batch of scenes: ``(B, K)`` angles and gains, ``(B, K, T)`` symbols.
 
-    Returns ``(steering, out)`` with ``out.xbar`` as ``(N, B, T)``.
+    Returns ``(tables, out)`` with the ``(fine, coarse)`` steering tables
+    (``channel.steering_tables``) and ``out.xbar`` as ``(N, B, T)``.  Only
+    the margin designs build the whole steering stack.
     """
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
-    steering = steering_matrix(geom, angles)
+    tables = steering_tables(geom, angles)
     sigma_w = np.sqrt(analysis.noise_variance_single(
         alpha, angles, power, 1.0, cfg.spacing_over_wavelength))
     if cfg.scheme in ("slp_primal", "slp_dual"):
         solver = cfg.scheme[len("slp_"):]
         # One margin program per symbol time: time joins the batch axes.
-        h_rows = (alpha[..., None] * steering)[:, None]
-        return steering, precoder.slp_arrays(
+        h_rows = (alpha[..., None] * steering_rows(tables))[:, None]
+        return tables, precoder.slp_arrays(
             h_rows, symbols.swapaxes(-1, -2), sigma_w[:, None], const.order,
             solver, cfg.solver.apg_params(solver))
     if cfg.scheme == "nullspace_zf":
-        return steering, precoder.nullspace_zf_arrays(
-            steering, alpha, sigma_w, symbols,
+        return tables, precoder.nullspace_zf_arrays(
+            tables, alpha, sigma_w, symbols,
             params=cfg.solver.apg_params("nullspace"))
-    return steering, precoder.zf_arrays(steering, alpha, sigma_w, symbols)
+    return tables, precoder.zf_arrays(tables, alpha, sigma_w, symbols)
 
 
 def _kernel_multiuser(cfg, const, power, rngs, n_use) -> _Counts:
     """Zero-forcing, nullspace and margin designs over ``(K, T)`` symbol
-    blocks, ``T = 1`` for the per-symbol schemes."""
+    blocks, ``T = 1`` for the per-symbol schemes.  The receive ``S x`` is
+    taken from the chunk's steering tables (``channel.steering_product``)."""
     k, t_len = cfg.channel.n_users, cfg.block_length
     angles, alpha = _draw_mu_channel(cfg, rngs[_CH], n_use)
     s_idx = rngs[_SYM].integers(0, const.order, (n_use, k, t_len))
@@ -262,15 +276,15 @@ def _kernel_multiuser(cfg, const, power, rngs, n_use) -> _Counts:
     step = max(1, _CHUNK // t_len)
     for lo in range(0, n_use, step):
         sl = slice(lo, min(lo + step, n_use))
-        steering, out = _multiuser_step(cfg, const, power, angles[sl],
-                                        alpha[sl], const.points[s_idx[sl]])
+        tables, out = _multiuser_step(cfg, const, power, angles[sl],
+                                      alpha[sl], const.points[s_idx[sl]])
         if "converged" in out.metadata:
             counts.nonconverged += int(np.count_nonzero(
                 ~out.metadata["converged"]))
 
         x = _modulate(cfg, out.xbar, rngs[_DITHER])
         rx = amp_scale * alpha[sl][..., None] \
-            * (steering @ np.moveaxis(x, 0, -2)) + noise[sl]
+            * steering_product(tables, np.moveaxis(x, 0, -2)) + noise[sl]
         _tally(counts, rx, amp_scale, out.gains[..., None], s_idx[sl], const)
     return counts
 
@@ -322,8 +336,7 @@ def _run_point(cfg: SimConfig, point: int, work=None) -> tuple:
     """Counts and closed-form bound at one SNR point.
 
     The single-user kernel runs its blocks in ``work`` (a fresh workspace if
-    None).  The multi-user kernel stays off it: modulator buffers held
-    across its steering build would raise the run's peak footprint.
+    None).  The multi-user kernel does not use it.
     """
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
     power = 10.0 ** (cfg.snr_db[point] / 10.0)

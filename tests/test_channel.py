@@ -21,6 +21,9 @@ from sdprecode.channel import (
     realize_channel,
     steering_gram,
     steering_matrix,
+    steering_product,
+    steering_rows,
+    steering_tables,
 )
 from sdprecode.channel import _ramp_split
 
@@ -73,12 +76,16 @@ class TestTwoFactorSteering:
     SPACINGS = [0.125, 0.5]
 
     @staticmethod
-    def _phase_and_rows(n, d, seed=0):
+    def _angles(seed=0):
         # Both endfires and broadside, then random angles: (3, 8) users.
         rng = np.random.default_rng(seed)
         angles = np.concatenate([[-math.pi / 2, 0.0, math.pi / 2],
                                  rng.uniform(-math.pi / 2, math.pi / 2, 21)])
-        angles = angles.reshape(3, 8)
+        return angles.reshape(3, 8)
+
+    @classmethod
+    def _phase_and_rows(cls, n, d, seed=0):
+        angles = cls._angles(seed)
         phase = 2.0 * np.pi * d * np.sin(angles)
         return phase, steering_matrix(ArrayGeometry(n, d), angles)
 
@@ -96,7 +103,8 @@ class TestTwoFactorSteering:
     def test_factor_gram_matches_full_product(self, n, d):
         _, rows = self._phase_and_rows(n, d)
         full = rows @ np.conj(rows).swapaxes(-1, -2) / n
-        gram = steering_gram(rows)
+        gram = steering_gram(steering_tables(ArrayGeometry(n, d),
+                                             self._angles()))
         assert gram.shape == (3, 8, 8)
         assert np.abs(gram - full).max() <= 1e-13 * np.abs(full).max()
 
@@ -127,6 +135,26 @@ class TestTwoFactorSteering:
         assert np.array_equal(self._bits(rows[..., :split]), self._bits(fine))
         assert np.array_equal(self._bits(rows[..., ::split]),
                               self._bits(coarse))
+        tables = steering_tables(ArrayGeometry(n, d), self._angles())
+        assert np.array_equal(self._bits(tables[0]), self._bits(fine))
+        assert np.array_equal(self._bits(tables[1]), self._bits(coarse))
+        assert np.array_equal(self._bits(steering_rows(tables)),
+                              self._bits(rows))
+
+    @pytest.mark.parametrize("n", SIZES + [97])
+    @pytest.mark.parametrize("t_len", [1, 5])
+    def test_product_matches_the_rows(self, n, t_len):
+        # One-bit antenna vectors, antenna axis first as the modulators emit
+        # them, read through the same (B, N, T) view the engine passes.
+        rng = np.random.default_rng(n)
+        tables = steering_tables(ArrayGeometry(n, 0.125), self._angles())
+        x = rng.choice([-1.0, 1.0], (n, 3, t_len)) \
+            + 1j * rng.choice([-1.0, 1.0], (n, 3, t_len))
+        x = np.moveaxis(x, 0, -2)
+        direct = steering_matrix(ArrayGeometry(n, 0.125), self._angles()) @ x
+        got = steering_product(tables, x)
+        assert got.shape == (3, 8, t_len)
+        assert np.abs(got - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 class TestGeometryValidation:

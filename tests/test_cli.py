@@ -3,13 +3,17 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from sdprecode.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = {
     "geometry": {"n_antennas": 32, "spacing_over_wavelength": 0.125},
@@ -312,3 +316,40 @@ def test_no_partial_artifacts_on_config_error(tmp_path):
     assert main(["ser", "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "ser.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+# Runs one 2-trial `ser` command in a fresh interpreter and prints whether
+# SciPy got loaded, then the first row's theory_ser column.
+_SCIPY_PROBE = """
+import sys
+from pathlib import Path
+import yaml
+from sdprecode.cli import main
+root, name, out = Path(sys.argv[1]), sys.argv[2], Path(sys.argv[3])
+doc = yaml.safe_load((root / "configs" / (name + ".yaml")).read_text())
+doc["trials"] = 2
+(out / "cfg.yaml").write_text(yaml.safe_dump(doc))
+code = main(["ser", "--config", str(out / "cfg.yaml"), "--out",
+             str(out / "run"), "--threads", "1"])
+row = (out / "run" / "ser.csv").read_text().splitlines()[1].split(",")
+print(code, "scipy" in sys.modules, row[3])
+"""
+
+
+@pytest.mark.parametrize("config,loads_scipy,theory", [
+    ("zf_multiuser", False, "nan"),
+    ("mrt_broadside", True, "0.3318372897"),
+])
+def test_scipy_loads_only_for_closed_form_ser(tmp_path, config, loads_scipy,
+                                               theory):
+    # Only the closed-form error bound needs SciPy, so a multi-user run
+    # never pays its import; mrt_broadside's bound still gets it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(ROOT), config,
+         str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loads_scipy), theory]

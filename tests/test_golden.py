@@ -18,7 +18,7 @@ import pytest
 import yaml
 
 from sdprecode import analysis, precoder
-from sdprecode.channel import ArrayGeometry, make_constellation, steering_matrix
+from sdprecode.channel import ArrayGeometry, make_constellation, steering_tables
 from sdprecode.cli import main
 from sdprecode.sim import SimConfig, run_ser
 from sdprecode.sim.config import SolverSpec
@@ -221,7 +221,7 @@ def test_peak_shaving_is_pinned():
         rng.integers(0, 16, (k, t_len))]
     spec = SolverSpec(nullspace_max_iters=120, nullspace_smoothing_rel=4e-3)
     out = precoder.nullspace_zf_arrays(
-        steering_matrix(ArrayGeometry(n, 0.125), angles), gains, noise_std,
+        steering_tables(ArrayGeometry(n, 0.125), angles), gains, noise_std,
         symbols, params=spec.apg_params("nullspace"))
     meta = out.metadata
     assert float(meta["gamma"]) == pytest.approx(EXPECTED_SHAVE["gamma"],

@@ -12,6 +12,7 @@ from sdprecode.channel import canonicalize_gains
 from sdprecode.modulator import (
     DitherSpec,
     Workspace,
+    feedback_ratios,
     no_overload_amplitude,
     no_overload_amplitudes_generalized,
     one_bit,
@@ -232,6 +233,24 @@ class TestGeneralized:
             sd_generalized(xbar, np.array([1.0, 0.0, 2.0]))
         with pytest.raises(ValueError):
             sd_generalized(xbar, np.array([2.0, 1.0, 3.0]))
+
+    def test_given_ratios_give_the_same_bits(self):
+        # The engine computes the ratios of its sorted (N, B) channel once
+        # and hands them to the safe profile and to the modulator.
+        rng = np.random.default_rng(17)
+        n, b = 32, 40
+        h = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
+        h = np.take_along_axis(h, np.argsort(np.abs(h), axis=0), axis=0)
+        ratios = feedback_ratios(h)
+        amps = no_overload_amplitudes_generalized(h)
+        assert np.array_equal(
+            no_overload_amplitudes_generalized(h, ratios), amps)
+        xbar = _box_inputs(rng, n, b) * amps
+        ref = sd_generalized(xbar, h)
+        res = sd_generalized(xbar, h, ratios=ratios)
+        np.testing.assert_array_equal(res.output, ref.output)
+        np.testing.assert_array_equal(res.integrator_trace,
+                                      ref.integrator_trace)
 
 
 class TestOneBit:

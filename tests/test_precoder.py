@@ -15,14 +15,17 @@ from sdprecode.channel import (
     canonicalize_gains,
     make_constellation,
     realize_channel,
+    steering_gram,
     steering_matrix,
+    steering_tables,
 )
+from sdprecode.channel import _ramp_split
 from sdprecode.modulator import (
     no_overload_amplitude,
     no_overload_amplitudes_generalized,
     sd_angle_steered,
 )
-from sdprecode.optim import ApgParams, spectral_norm_sq
+from sdprecode.optim import ApgParams, min_iq_inf_norm, spectral_norm_sq
 from sdprecode.precoder import (
     iq_inf_norm,
     margin_rows,
@@ -32,11 +35,13 @@ from sdprecode.precoder import (
     mrt_single,
     nullspace_basis,
     nullspace_zf,
+    nullspace_zf_arrays,
     slp_psk,
     zf_arrays,
     zf_precode,
     zf_precode_qam_block,
 )
+from sdprecode.sim.config import SolverSpec
 
 BOUND_TOL = 1e-9
 
@@ -214,28 +219,95 @@ class TestZfPrecode:
             zf_precode(scene, np.zeros(2, dtype=complex))
 
 
+def _zf_batch(n, k, t_len, b, seed=12):
+    """Tables, gains, noise levels and 8-PSK symbols of ``b`` scenes with
+    users spread over +-60 degrees."""
+    rng = np.random.default_rng(seed)
+    angles = (np.deg2rad(np.linspace(-60.0, 60.0, k))
+              + rng.uniform(-0.01, 0.01, (b, k)))
+    gains = (30.0 / rng.uniform(20, 100, (b, k))) \
+        * np.exp(1j * rng.uniform(-np.pi, np.pi, (b, k)))
+    noise_std = rng.uniform(0.5, 2.0, (b, k))
+    symbols = make_constellation("psk", 8).points[
+        rng.integers(0, 8, (b, k, t_len))]
+    return (angles, steering_tables(ArrayGeometry(n, 0.125), angles), gains,
+            noise_std, symbols)
+
+
 class TestZfMemory:
-    def test_step_allocates_about_one_steering_stack(self):
+    def test_step_never_holds_the_steering_stack(self):
         # One engine chunk of the shipped zf_multiuser config: 128 scenes,
         # 24 users, 512 antennas, one symbol each.  The Gram comes from the
-        # rows' fine and coarse columns and the back-projection from the
-        # rows themselves, so nothing else of the stack's size is made.
-        rng = np.random.default_rng(12)
+        # tables and the back-projection from rows rebuilt 16 scenes at a
+        # time, so the step peaks at a fraction of the 24 MiB stack.
         b, k, n = 128, 24, 512
-        angles = (np.deg2rad(np.linspace(-60.0, 60.0, k))
-                  + rng.uniform(-0.01, 0.01, (b, k)))
-        gains = np.exp(1j * rng.uniform(-np.pi, np.pi, (b, k)))
-        symbols = make_constellation("psk", 8).points[
-            rng.integers(0, 8, (b, k, 1))]
+        _, tables, gains, _, symbols = _zf_batch(n, k, 1, b)
         tracemalloc.start()
         try:
-            steering = steering_matrix(ArrayGeometry(n, 0.125), angles)
-            out = zf_arrays(steering, gains, np.ones((b, k)), symbols)
+            out = zf_arrays(tables, gains, np.ones((b, k)), symbols)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out.xbar.shape == (n, b, 1)
-        assert peak <= 1.25 * steering.nbytes
+        assert peak <= b * k * n * 16 / 4
+
+
+class TestZfFromTables:
+    """The designs from the tables give the bits of the stacked-row design,
+    which back-projects against the whole ``(B, K, N)`` steering stack in
+    one product."""
+
+    @staticmethod
+    def _stacked(steering, gains, noise_std, symbols, params=None):
+        n = steering.shape[-1]
+        fine_len = _ramp_split(n)
+        gram = steering_gram((steering[..., :fine_len],
+                              steering[..., ::fine_len]))
+        weights = noise_std * np.conj(gains) / np.abs(gains) ** 2
+        y = np.linalg.solve(gram, weights[..., None] * symbols)
+        back = np.conj(y).swapaxes(-1, -2) @ steering
+        v = np.conj(back).swapaxes(-1, -2) / n
+        if params is None:
+            peak = iq_inf_norm(v, axis=(-2, -1))
+        else:
+            v = v.copy()
+            peak = np.empty(v.shape[:-2])
+            for i in np.ndindex(peak.shape):
+                x, solve = min_iq_inf_norm(v[i].T, steering[i], params=params)
+                v[i] = x.T
+                peak[i] = np.max(solve.value)
+        gamma = 1.0 / peak
+        return (np.moveaxis(gamma[..., None, None] * v, -2, 0),
+                gamma[..., None] * noise_std)
+
+    @staticmethod
+    def _bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    # The shipped zf_multiuser chunk, a zf_qam_block trial, a chunk that is
+    # not a multiple of the 16-scene row slice, and a prime N (L = 1).
+    SHAPES = [(512, 24, 1, 128), (256, 16, 100, 1), (512, 24, 1, 37),
+              (97, 5, 3, 8)]
+
+    @pytest.mark.parametrize("n,k,t_len,b", SHAPES)
+    @pytest.mark.parametrize("design", ["zf", "nullspace_zf"])
+    def test_bits_match_the_stacked_rows(self, n, k, t_len, b, design):
+        angles, tables, gains, noise_std, symbols = _zf_batch(n, k, t_len, b)
+        steering = steering_matrix(ArrayGeometry(n, 0.125), angles)
+        if design == "zf":
+            out = zf_arrays(tables, gains, noise_std, symbols)
+            params = None
+        else:
+            # A 12-iteration cap keeps 128 scenes cheap.
+            params = SolverSpec(nullspace_max_iters=12).apg_params(
+                "nullspace")
+            out = nullspace_zf_arrays(tables, gains, noise_std, symbols,
+                                      params=params)
+        xbar, out_gains = self._stacked(steering, gains, noise_std, symbols,
+                                        params)
+        assert out.xbar.shape == (n, b, t_len)
+        assert np.array_equal(self._bits(out.xbar), self._bits(xbar))
+        assert np.array_equal(self._bits(out.gains), self._bits(out_gains))
 
 
 class TestZfBlock:

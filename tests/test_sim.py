@@ -313,6 +313,32 @@ class TestSingleUserMemory:
         assert peaks[1] <= array_bytes / 4
 
 
+class TestMultiUserMemory:
+    def test_chunks_never_hold_the_steering_stack(self):
+        # 128-trial chunks of the shipped zf_multiuser config: 24 users, 512
+        # antennas.  A chunk's steering stack would be 24 MiB; the design
+        # and the receive work from the phase tables, so a later chunk
+        # peaks at a third of that.
+        cfg = SimConfig.from_dict(
+            yaml.safe_load((CONFIGS / "zf_multiuser.yaml").read_text()))
+        const = make_constellation(cfg.constellation_kind,
+                                   cfg.constellation_order)
+        chunk = engine._CHUNK
+        peaks = []
+        for block in range(2):
+            rngs = engine._streams(cfg.seed, 0, 0, block)
+            tracemalloc.start()
+            try:
+                counts = engine._kernel_multiuser(cfg, const, 10.0, rngs,
+                                                  chunk)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert counts.trials == chunk
+            peaks.append(peak)
+        assert peaks[1] <= 8 * 2 ** 20
+
+
 class TestScatter:
     def test_unquantized_scatter_is_exact(self):
         cfg = _cfg(modulator="unquantized")
