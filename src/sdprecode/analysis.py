@@ -22,6 +22,7 @@ from .channel import (
     MultiPathChannel,
     MultiUserScene,
     SinglePathChannel,
+    phase_step,
     steering_gram,
     steering_matrix,
     steering_tables,
@@ -74,10 +75,6 @@ def qfunc(t):
     return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
-def _phase_step(spacing: float, angle: float) -> float:
-    return 2.0 * math.pi * spacing * math.sin(angle)
-
-
 def noise_variance_single(gain, angle, power, noise_var, spacing):
     """Large-array variance of quantization-plus-thermal noise at one user.
 
@@ -92,7 +89,7 @@ def noise_variance_single(gain, angle, power, noise_var, spacing):
 def noise_variance_single_exact(gain, angle, power, noise_var, spacing,
                                 n_antennas) -> float:
     """Finite-N variance, keeping the last antenna's unshaped boundary term."""
-    z = np.exp(1j * _phase_step(spacing, angle))
+    z = np.exp(1j * phase_step(spacing, angle))
     shaped = abs(1.0 - 1.0 / z) ** 2
     return (abs(gain) ** 2 * power / (3.0 * n_antennas)) * (
         shaped * (n_antennas - 1) + 1.0
@@ -105,7 +102,7 @@ def noise_variance_steered(gain, angle, phi, power, noise_var, spacing) -> float
     The quantization term vanishes exactly when phi matches the channel's
     per-antenna phase progression ``2 pi (d/lambda) sin(theta)`` (mod 2 pi).
     """
-    s = math.sin(0.5 * (phi - _phase_step(spacing, angle)))
+    s = math.sin(0.5 * (phi - phase_step(spacing, angle)))
     return (4.0 * abs(gain) ** 2 * power / 3.0) * s * s + noise_var
 
 
@@ -119,7 +116,7 @@ def noise_variance_multipath(gains, angles, power, noise_var, spacing,
     """
     gains = np.asarray(gains, dtype=complex)
     angles = np.asarray(angles, dtype=float)
-    z = np.exp(1j * 2.0 * math.pi * spacing * np.sin(angles))
+    z = np.exp(1j * phase_step(spacing, angles))
     n = np.arange(n_antennas)
     zpow = z[None, :] ** (-n[:, None])              # (N, L): z_l^{-n}
     diffs = zpow * (1.0 - 1.0 / z)[None, :]         # z_l^{-n} - z_l^{-n-1}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple, Union
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "CanonicalGains",
     "MultiUserScene",
     "Constellation",
+    "phase_step",
     "array_response",
     "steering_tables",
     "steering_rows",
@@ -32,6 +34,7 @@ __all__ = [
     "steering_product",
     "realize_channel",
     "canonicalize_gains",
+    "as_canonical",
     "make_constellation",
     "decide",
     "bit_errors",
@@ -40,15 +43,14 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
-def _check_angle(angle: float) -> None:
-    if not -_HALF_PI <= angle <= _HALF_PI:
-        raise ValueError(f"angle {angle} outside [-pi/2, pi/2]")
+def _check_angles(angles) -> None:
+    if not np.all(np.abs(angles) <= _HALF_PI):
+        raise ValueError("angles must lie in [-pi/2, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class SinglePathChannel:
     angle: float
 
     def __post_init__(self):
-        _check_angle(self.angle)
+        _check_angles(self.angle)
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,11 @@ class MultiPathChannel:
     angles: np.ndarray
 
     def __post_init__(self):
-        gains = _frozen_array(self.gains, complex)
-        angles = _frozen_array(self.angles, float)
+        gains = _readonly(np.array(self.gains, complex))
+        angles = _readonly(np.array(self.angles, float))
         if gains.ndim != 1 or gains.shape != angles.shape or gains.size < 1:
             raise ValueError("gains and angles must be equal-length 1-D arrays")
-        if np.any(angles < -_HALF_PI) or np.any(angles > _HALF_PI):
-            raise ValueError("path angles must lie in [-pi/2, pi/2]")
+        _check_angles(angles)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "angles", angles)
 
@@ -109,7 +110,7 @@ class ArbitraryChannel:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = _frozen_array(self.coefficients, complex)
+        coeffs = _readonly(np.array(self.coefficients, complex))
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ValueError("coefficients must be a 1-D array")
         if np.any(coeffs == 0):
@@ -122,37 +123,65 @@ Channel = Union[SinglePathChannel, MultiPathChannel, ArbitraryChannel]
 
 @dataclass(frozen=True)
 class CanonicalGains:
-    """Channel coefficients sorted by nondecreasing magnitude, plus the sort.
-
-    ``coefficients[k] == original[permutation[k]]``.  The generalized one-bit
-    modulator runs in this canonical order; use :meth:`to_physical_order` to
-    map its emitted antenna vector back onto the physical array.
-    """
+    """Channel coefficients sorted by nondecreasing magnitude along the
+    antenna axis 0, each trailing index on its own, plus the sort:
+    ``coefficients[k] == original[permutation[k]]`` along axis 0.  The
+    generalized one-bit modulator runs in this order with the feedback
+    ``ratios``; :meth:`to_physical_order` maps its output back onto the
+    physical array."""
 
     coefficients: np.ndarray
     permutation: np.ndarray
 
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        """Feedback ``h_{n-1}/h_n`` along axis 0, 0 first; made on first use."""
+        h = self.coefficients
+        ratios = np.zeros_like(h)
+        ratios[1:] = h[:-1] / h[1:]
+        return _readonly(ratios)
+
+    def _index(self, vec):
+        perm = self.permutation     # padded to broadcast over vec's extra axes
+        return perm.reshape(perm.shape + (1,) * (vec.ndim - perm.ndim))
+
     def to_physical_order(self, canonical_vec: np.ndarray) -> np.ndarray:
-        out = np.empty_like(np.asarray(canonical_vec))
-        out[self.permutation, ...] = canonical_vec
-        return out
+        vec = np.asarray(canonical_vec)
+        inverse = np.argsort(self._index(vec), axis=0)
+        return np.take_along_axis(vec, inverse, axis=0)
 
     def to_canonical_order(self, physical_vec: np.ndarray) -> np.ndarray:
-        return np.asarray(physical_vec)[self.permutation, ...]
+        vec = np.asarray(physical_vec)
+        return np.take_along_axis(vec, self._index(vec), axis=0)
 
 
 def canonicalize_gains(coefficients) -> CanonicalGains:
-    """Sort per-antenna gains by nondecreasing magnitude, recording the permutation."""
+    """Sort ``(N,)`` or antenna-first ``(N, ...)`` gains by nondecreasing
+    magnitude along axis 0, recording the permutation."""
     h = np.asarray(coefficients, dtype=complex)
-    if h.ndim != 1:
-        raise ValueError("coefficients must be a 1-D array")
-    if np.any(h == 0):
-        raise ValueError("arbitrary channel coefficients must all be nonzero")
-    perm = np.argsort(np.abs(h), kind="stable")
+    if h.ndim < 1 or np.any(h == 0):
+        raise ValueError("need nonzero coefficients along an antenna axis")
+    # Sorted as antenna-last rows, so the transpose of a trial-major draw
+    # sorts one contiguous row per trial and keeps the draw's layout.
+    rows = np.moveaxis(h, 0, -1)
+    perm = np.argsort(np.abs(rows), axis=-1, kind="stable")
     return CanonicalGains(
-        coefficients=_frozen_array(h[perm], complex),
-        permutation=_frozen_array(perm, np.intp),
-    )
+        _readonly(np.moveaxis(np.take_along_axis(rows, perm, -1), -1, 0)),
+        _readonly(np.moveaxis(perm, -1, 0)))
+
+
+def as_canonical(gains) -> CanonicalGains:
+    """``gains`` as :class:`CanonicalGains`: as given, or a plain array in
+    canonical order (checked: nonzero, nondecreasing magnitude along axis
+    0) with the identity permutation."""
+    if isinstance(gains, CanonicalGains):
+        return gains
+    h = np.asarray(gains, dtype=complex)
+    mags = np.abs(h)
+    if np.any(mags == 0) or np.any(mags[:-1] > mags[1:]):
+        raise ValueError("gains must be nonzero and sorted by nondecreasing "
+                         "magnitude; canonicalize the channel first")
+    return CanonicalGains(h, np.arange(h.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -191,16 +220,15 @@ class MultiUserScene:
         return np.array([ch.angle for ch in self.channels]), gains
 
 
-def array_response(geometry: ArrayGeometry, angle: float) -> np.ndarray:
-    """Phase ramp across the array for a departure angle.
+def phase_step(spacing: float, angles):
+    """The ULA ramp's phase advance per antenna, ``2*pi*(d/lambda)*sin(angle)``."""
+    return 2.0 * np.pi * spacing * np.sin(angles)
 
-    Element ``n`` (0-based) is ``exp(-1j * n * 2*pi*(d/lambda) * sin(angle))``;
-    element 0 is exactly 1.
-    """
-    _check_angle(angle)
-    n = np.arange(geometry.n_antennas)
-    phase = 2.0 * np.pi * geometry.spacing_over_wavelength * math.sin(angle)
-    return np.exp(-1j * phase * n)
+
+def array_response(geometry: ArrayGeometry, angle: float) -> np.ndarray:
+    """Phase ramp across the array for one departure angle, ``(N,)``: the
+    one-angle :func:`steering_matrix`.  Element 0 is exactly 1."""
+    return steering_matrix(geometry, angle)
 
 
 def _ramp_split(n: int) -> int:
@@ -223,11 +251,10 @@ def steering_tables(geometry: ArrayGeometry,
     whole ``(..., K, N)`` stack.
     """
     angles = np.asarray(angles, dtype=float)
-    if np.any(angles < -_HALF_PI) or np.any(angles > _HALF_PI):
-        raise ValueError("angles must lie in [-pi/2, pi/2]")
+    _check_angles(angles)
     n = geometry.n_antennas
     fine_len = _ramp_split(n)
-    phase = 2.0 * np.pi * geometry.spacing_over_wavelength * np.sin(angles)
+    phase = phase_step(geometry.spacing_over_wavelength, angles)
     fine = np.exp(-1j * np.multiply.outer(phase, np.arange(fine_len)))
     coarse = np.exp(-1j * np.multiply.outer(
         phase, fine_len * np.arange(n // fine_len)))
@@ -299,8 +326,7 @@ def realize_channel(channel: Channel, geometry: ArrayGeometry) -> np.ndarray:
     if isinstance(channel, SinglePathChannel):
         return channel.gain * array_response(geometry, channel.angle)
     if isinstance(channel, MultiPathChannel):
-        responses = steering_matrix(geometry, channel.angles)
-        return channel.gains @ responses
+        return channel.gains @ steering_matrix(geometry, channel.angles)
     if isinstance(channel, ArbitraryChannel):
         if channel.coefficients.size != geometry.n_antennas:
             raise ValueError(
@@ -375,9 +401,9 @@ def make_constellation(kind: str, order: int) -> Constellation:
     else:
         raise ValueError(f"unknown constellation kind {kind!r}")
     if labels is not None:
-        labels = _frozen_array(labels, np.uint32)
+        labels = _readonly(np.array(labels, np.uint32))
     return Constellation(
-        kind=kind, order=order, points=_frozen_array(points, complex),
+        kind=kind, order=order, points=_readonly(np.array(points, complex)),
         bit_labels=labels,
     )
 

@@ -58,6 +58,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .channel import as_canonical
+
 __all__ = [
     "DitherSpec",
     "ModulationResult",
@@ -328,38 +330,26 @@ def sd_angle_steered(xbar, phi: float,
     return _run(xbar, cmath.exp(1j * phi), work=work)
 
 
-def sd_generalized(xbar, gains, work: Optional[Workspace] = None,
-                   ratios: Optional[np.ndarray] = None) -> ModulationResult:
+def sd_generalized(xbar, gains,
+                   work: Optional[Workspace] = None) -> ModulationResult:
     """Channel-matched modulator: feedback ratio h_{n-1}/h_n at step n.
 
-    ``gains`` must be nonzero and in nondecreasing magnitude order (see
-    ``channel.canonicalize_gains``); shape ``(N,)``, or ``(N, ...)`` with
+    ``gains`` is a ``channel.CanonicalGains`` or a plain array in that
+    order (:func:`feedback_ratios`), ``(N,)`` or ``(N, ...)`` with
     ``gains[n]`` broadcastable against ``xbar[n]``.  With this feedback
     every interior quantization error cancels out of ``h^T x``, leaving
     only the last antenna's error.  ``work`` holds the result's arrays (see
-    the module docstring).  A caller that sorted the channel itself and
-    already holds ``feedback_ratios(gains)`` passes them as ``ratios``:
-    they are used as given, without recomputing them or checking the order.
+    the module docstring).
     """
-    if ratios is None:
-        h = np.asarray(gains, dtype=complex)
-        ratios = feedback_ratios(h)
-        mags = np.abs(h)
-        if np.any(mags[:-1] > mags[1:]):
-            raise ValueError("gains must be sorted by nondecreasing magnitude; "
-                             "canonicalize the channel first")
-    return _run(xbar, ratios, work=work)
+    return _run(xbar, feedback_ratios(gains), work=work)
 
 
 def feedback_ratios(gains) -> np.ndarray:
     """Channel-matched feedback ``r_n = h_{n-1}/h_n``, with ``r_1 = 0``,
-    along the leading axis of ``gains``."""
-    h = np.asarray(gains, dtype=complex)
-    if np.any(h == 0):
-        raise ValueError("channel gains must all be nonzero")
-    ratios = np.zeros_like(h)
-    ratios[1:] = h[:-1] / h[1:]
-    return ratios
+    along the leading axis of ``gains``: the cached ratios of a
+    ``channel.CanonicalGains``, or those of a plain array that
+    ``channel.as_canonical`` checks to be nonzero and sorted."""
+    return as_canonical(gains).ratios
 
 
 def no_overload_amplitude(phi) -> np.ndarray:
@@ -373,15 +363,13 @@ def no_overload_amplitude(phi) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def no_overload_amplitudes_generalized(
-        gains, ratios: Optional[np.ndarray] = None) -> np.ndarray:
+def no_overload_amplitudes_generalized(gains) -> np.ndarray:
     """Per-antenna safe input amplitudes for the channel-matched modulator.
 
-    With feedback ratio r_n = h_{n-1}/h_n the bound is
-    ``A_n = 2 - |Re r_n| - |Im r_n|``; the first antenna has no feedback, so
-    A_1 = 2, and canonical ordering keeps every later A_n in [2-sqrt(2), 2).
-    ``ratios``, if given, are ``feedback_ratios(gains)`` and are used as is.
+    With feedback ratio r_n = h_{n-1}/h_n (:func:`feedback_ratios`) the
+    bound is ``A_n = 2 - |Re r_n| - |Im r_n|``; the first antenna has no
+    feedback, so A_1 = 2, and canonical ordering keeps every later A_n in
+    [2-sqrt(2), 2).
     """
-    if ratios is None:
-        ratios = feedback_ratios(gains)
+    ratios = feedback_ratios(gains)
     return 2.0 - np.abs(ratios.real) - np.abs(ratios.imag)

@@ -30,9 +30,10 @@ import numpy as np
 from . import analysis, modulator, optim
 from .channel import (
     ArrayGeometry,
-    CanonicalGains,
     MultiUserScene,
     SinglePathChannel,
+    as_canonical,
+    phase_step,
     realize_channel,
     steering_gram,
     steering_matrix,
@@ -99,9 +100,9 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
     antennas radiate the symbol with the conjugate phase ramp, so the receive
     side sees a coherent gain of N times the channel magnitude.  With
     ``steered`` the target backs off to the steered modulator's safe level
-    for the feedback rotation ``phi = 2 pi (d/lambda) sin(angle)``, which
-    nulls the shaped quantization error along the user's phase progression;
-    the plain design is the ``phi = 0`` case.  ``metadata`` carries ``phi``
+    for the feedback rotation ``phi = channel.phase_step(d/lambda, angle)``,
+    which nulls the shaped quantization error along the user's phase
+    progression; the plain design is ``phi = 0``.  ``metadata`` carries ``phi``
     (feed it to ``modulator.sd_angle_steered``) and ``amplitude``.  With
     ``work``, ``xbar`` is written into its ``"xbar"`` buffer (see
     :class:`modulator.Workspace`).
@@ -110,7 +111,7 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
     gains = np.asarray(gains, dtype=complex)
     if np.any(gains == 0):
         raise ValueError("channel gain must be nonzero")
-    phi = (2.0 * np.pi * geometry.spacing_over_wavelength * np.sin(angles)
+    phi = (phase_step(geometry.spacing_over_wavelength, angles)
            if steered else 0.0)
     amp = modulator.no_overload_amplitude(phi)
     u = amp * (np.conj(gains) / np.abs(gains)) * symbols
@@ -165,37 +166,29 @@ def _xbar_out(work, lead, other):
 
 def mrt_generalized(gains, symbols,
                     amplitudes: Optional[np.ndarray] = None,
-                    work: Optional[modulator.Workspace] = None,
-                    ratios: Optional[np.ndarray] = None) -> PrecodeOutput:
+                    work: Optional[modulator.Workspace] = None) -> PrecodeOutput:
     """Per-antenna matched weighting for an arbitrary (canonical) channel.
 
-    ``gains`` is ``(N, ...)`` with the antenna axis first and ``symbols``
-    broadcasts over its batch axes.  Each antenna transmits ``r_n * s`` with
-    ``r_n`` proportional to the conjugate gain, scaled so its dominant rail
-    uses the antenna's safe amplitude ``A_n``.  For symbols off the rail axes
-    that scaling can spill the weaker rail slightly past ``A_n``; offending
-    antennas are rescaled by ``max/(max+min)`` of their rail magnitudes
-    (which restores the bound for any unit-peak symbol) and flagged in the
-    metadata mask ``rescaled``.
+    ``gains`` is ``(N, ...)`` with the antenna axis first, as a
+    ``channel.CanonicalGains`` or a plain array in canonical order (see
+    ``channel.as_canonical``), and ``symbols`` broadcasts over its batch
+    axes.  Each antenna transmits ``r_n * s`` with ``r_n`` proportional to
+    the conjugate gain, scaled so its dominant rail uses the antenna's safe
+    amplitude ``A_n``.  For symbols off the rail axes that scaling can spill
+    the weaker rail slightly past ``A_n``; offending antennas are rescaled
+    by ``max/(max+min)`` of their rail magnitudes (which restores the bound
+    for any unit-peak symbol) and flagged in the metadata mask ``rescaled``.
 
     ``amplitudes`` overrides the safe profile, e.g. all ones for the
     unquantized benchmark or for deliberately overloaded runs.  ``work``
-    holds ``xbar`` as in :func:`mrt_arrays`.  ``ratios`` are the channel's
-    ``modulator.feedback_ratios`` when the caller already has them for the
-    modulator; the safe profile then reuses them.
+    holds ``xbar`` as in :func:`mrt_arrays`.
     """
-    if isinstance(gains, CanonicalGains):
-        h = gains.coefficients
-    else:
-        h = np.asarray(gains, dtype=complex)
-    if np.any(h == 0):
-        raise ValueError("channel gains must all be nonzero")
+    gains = as_canonical(gains)
+    h = gains.coefficients
     if np.any(np.abs(symbols) > 1.0 + 1e-12):
         raise ValueError("symbol magnitude must not exceed 1")
-    if amplitudes is None:
-        amp = modulator.no_overload_amplitudes_generalized(h, ratios)
-    else:
-        amp = np.asarray(amplitudes, dtype=float)
+    amp = (modulator.no_overload_amplitudes_generalized(gains)
+           if amplitudes is None else np.asarray(amplitudes, dtype=float))
 
     rail_max = np.maximum(np.abs(h.real), np.abs(h.imag))
     weights = amp * np.conj(h) / rail_max

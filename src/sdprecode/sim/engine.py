@@ -30,17 +30,16 @@ from ..channel import (
     ArrayGeometry,
     array_response,
     bit_errors,
+    canonicalize_gains,
     decide,
     make_constellation,
+    phase_step,
     steering_matrix,
     steering_product,
     steering_rows,
     steering_tables,
 )
-# Imported for bench/tracing.py, which times these by patching them on this
-# module.  Of the three, only iq_inf_norm is still called: by the precoders
-# themselves, and here by run_solve; nothing calls minimax_coefficients or
-# nullspace_basis.
+# For bench/tracing.py, which patches them here; run_solve calls iq_inf_norm.
 from ..precoder import (  # noqa: F401
     iq_inf_norm,
     minimax_coefficients,
@@ -119,13 +118,10 @@ def _tally(counts: _Counts, rx, amp_scale, gains, s_idx, const: Constellation):
 
 
 def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None,
-              ratios=None, work=None):
-    """Dispatch the configured one-bit stage; xbar has the antenna axis first.
-
-    The channel-matched modulator takes the sorted ``gains`` and their
-    ``ratios`` (``modulator.feedback_ratios``).  With a
-    ``modulator.Workspace`` the output is a view into it.
-    """
+              work=None):
+    """Dispatch the configured one-bit stage; xbar has the antenna axis
+    first, and ``gains`` is the ``channel.CanonicalGains`` of the matched
+    modulator.  With a ``modulator.Workspace`` the output is a view into it."""
     mod = cfg.modulator
     if mod == "unquantized":
         return xbar
@@ -139,8 +135,7 @@ def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None,
     if mod == "steered":
         return modulator.sd_angle_steered(xbar, steer_phi, work=work).output
     if mod == "generalized":
-        return modulator.sd_generalized(xbar, gains, work=work,
-                                        ratios=ratios).output
+        return modulator.sd_generalized(xbar, gains, work=work).output
     raise ConfigError(f"config.modulator: unknown modulator {mod!r}")
 
 
@@ -157,30 +152,22 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use,
     antenna matrix (N, n_use), the coherent receive gain per trial, the sent
     symbol indices, and the noiseless receive ``alpha * y``.  On a single
     path ``alpha`` is the channel phase per trial and ``y = a @ x``.  The
-    i.i.d. channel is sorted by magnitude per trial (the matched modulator's
-    canonical order), and ``y`` uses the sorted channel, which is equivalent
-    to un-permuting the antenna vector; there ``alpha = 1``.  The matched
-    modulator's feedback ratios are computed once per batch, for both the
-    safe amplitude profile and the modulator.
-
-    ``work`` (a ``modulator.Workspace``) holds the precode target and the
-    modulator arrays, so ``x`` is valid only until the workspace's next
-    use.
+    i.i.d. channel is put in canonical order per trial
+    (``channel.canonicalize_gains``), and ``y`` uses the sorted channel,
+    which is equivalent to un-permuting the antenna vector; there ``alpha =
+    1``.  ``work`` (a ``modulator.Workspace``) holds the precode target and
+    the modulator arrays, so ``x`` is valid only until its next use.
     """
     s_idx = rngs[_SYM].integers(0, const.order, n_use)
     if cfg.channel.model == "iid_gaussian":
-        h = _complex_normal(rngs[_CH], (n_use, cfg.n_antennas))
-        order = np.argsort(np.abs(h), axis=1, kind="stable")
-        hs = np.take_along_axis(h, order, axis=1).T        # (N, B) ascending |h|
-        matched = cfg.modulator == "generalized"
-        ratios = modulator.feedback_ratios(hs) if matched else None
-        safe = matched and cfg.amplitude_mode == "safe"
-        out = precoder.mrt_generalized(hs, const.points[s_idx],
+        h = canonicalize_gains(
+            _complex_normal(rngs[_CH], (n_use, cfg.n_antennas)).T)
+        safe = cfg.modulator == "generalized" and cfg.amplitude_mode == "safe"
+        out = precoder.mrt_generalized(h, const.points[s_idx],
                                        amplitudes=None if safe else 1.0,
-                                       work=work, ratios=ratios)
-        x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=hs, ratios=ratios,
-                      work=work)
-        alpha, y = 1.0, np.einsum("nb,nb->b", hs, x)
+                                       work=work)
+        x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=h, work=work)
+        alpha, y = 1.0, np.einsum("nb,nb->b", h.coefficients, x)
     else:
         geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
         theta = math.radians(cfg.channel.angle_deg)
@@ -298,9 +285,8 @@ def _theory_ser(cfg: SimConfig, const: Constellation, power: float) -> float:
     if cfg.scheme == "mrt" and cfg.modulator == "basic":
         snr = analysis.effective_snr_mrt(1.0, theta, power, 1.0, n, d)
     elif cfg.modulator in ("steered", "unquantized"):
-        amp = precoder.mrt_arrays(ArrayGeometry(n, d), theta, 1.0, 1.0,
-                                  steered=cfg.scheme == "mrt_steered"
-                                  ).metadata["amplitude"]
+        phi = phase_step(d, theta) if cfg.scheme == "mrt_steered" else 0.0
+        amp = modulator.no_overload_amplitude(phi)
         snr = analysis.effective_snr_steered(1.0, amp, power, 1.0, n)
     else:
         return math.nan
@@ -398,15 +384,23 @@ def _require_single_user(cfg: SimConfig, what: str):
             f"({', '.join(names)})")
 
 
+def _trial_count(value: Optional[int], default: int, name: str) -> int:
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return default if value is None else value
+
+
 def run_iq_scatter(cfg: SimConfig, n_realizations: Optional[int] = None):
     """Noiseless shaped symbols at the user, normalized by the design gain.
 
     Returns ``(sent, received)`` complex arrays of equal length; with an
     ideal link every received point coincides with its sent symbol.
+    ``n_realizations`` defaults to the config's ``scatter_realizations``.
     """
     cfg.validate()
     _require_single_user(cfg, "the IQ scatter run")
-    n_total = n_realizations or cfg.scatter_realizations
+    n_total = _trial_count(n_realizations, cfg.scatter_realizations,
+                           "n_realizations")
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
 
     sent, received = [], []
@@ -448,7 +442,8 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
     """Monte Carlo angular power spectrum of the transmitted antenna vector.
 
     Returns ``(angles_deg, spectrum_db)`` with the spectrum normalized so an
-    unquantized coherent beam peaks at 0 dB.
+    unquantized coherent beam peaks at 0 dB.  ``n_trials`` defaults to the
+    config's ``spectrum_trials``.
     """
     cfg.validate()
     _require_single_user(cfg, "the spectrum run")
@@ -456,7 +451,7 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
         lo, hi, step = cfg.spectrum_grid_deg
         angles_deg = np.arange(lo, hi + step / 2.0, step)
     angles_deg = np.asarray(angles_deg, dtype=float)
-    n_total = n_trials or cfg.spectrum_trials
+    n_total = _trial_count(n_trials, cfg.spectrum_trials, "n_trials")
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
     grid = steering_matrix(geom, np.deg2rad(angles_deg))

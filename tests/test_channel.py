@@ -26,6 +26,7 @@ from sdprecode.channel import (
     steering_tables,
 )
 from sdprecode.channel import _ramp_split
+from sdprecode.modulator import feedback_ratios
 
 
 class TestArrayResponse:
@@ -206,6 +207,31 @@ class TestCanonicalize:
         vec = np.arange(4) + 1.0
         np.testing.assert_array_equal(
             can.to_physical_order(can.to_canonical_order(vec)), vec)
+        # One channel reorders every column of an (N, T) block alike.
+        block = np.arange(8.0).reshape(4, 2)
+        np.testing.assert_array_equal(can.to_canonical_order(block),
+                                      block[can.permutation])
+        np.testing.assert_array_equal(
+            can.to_physical_order(can.to_canonical_order(block)), block)
+        assert not can.coefficients.flags.writeable
+
+    def test_batch_sorts_each_column(self):
+        rng = np.random.default_rng(9)
+        h = rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5))
+        can = canonicalize_gains(h)
+        for j in range(h.shape[1]):
+            column = canonicalize_gains(h[:, j])
+            np.testing.assert_array_equal(can.coefficients[:, j],
+                                          column.coefficients)
+            np.testing.assert_array_equal(can.permutation[:, j],
+                                          column.permutation)
+        np.testing.assert_array_equal(can.to_canonical_order(h),
+                                      can.coefficients)
+        vec = rng.normal(size=h.shape)
+        np.testing.assert_array_equal(
+            can.to_physical_order(can.to_canonical_order(vec)), vec)
+        assert can.ratios.tobytes() == feedback_ratios(
+            can.coefficients).tobytes()
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdprecode import modulator
-from sdprecode.channel import canonicalize_gains
+from sdprecode.channel import canonicalize_gains, make_constellation
 from sdprecode.modulator import (
     DitherSpec,
     Workspace,
@@ -21,6 +21,7 @@ from sdprecode.modulator import (
     sd_dithered,
     sd_generalized,
 )
+from sdprecode.precoder import mrt_generalized
 
 
 def _box_inputs(rng, n, count, bound=1.0):
@@ -234,23 +235,37 @@ class TestGeneralized:
         with pytest.raises(ValueError):
             sd_generalized(xbar, np.array([2.0, 1.0, 3.0]))
 
-    def test_given_ratios_give_the_same_bits(self):
-        # The engine computes the ratios of its sorted (N, B) channel once
-        # and hands them to the safe profile and to the modulator.
+    def test_canonical_gains_give_the_bits_of_their_coefficients(self):
+        # The engine hands its sorted (N, B) channel to the safe profile,
+        # the precoder and the modulator as one CanonicalGains, whose
+        # ratios are computed once.
         rng = np.random.default_rng(17)
         n, b = 32, 40
-        h = rng.normal(size=(n, b)) + 1j * rng.normal(size=(n, b))
-        h = np.take_along_axis(h, np.argsort(np.abs(h), axis=0), axis=0)
-        ratios = feedback_ratios(h)
-        amps = no_overload_amplitudes_generalized(h)
-        assert np.array_equal(
-            no_overload_amplitudes_generalized(h, ratios), amps)
+        can = canonicalize_gains(rng.normal(size=(n, b))
+                                 + 1j * rng.normal(size=(n, b)))
+        h = can.coefficients
+        amps = no_overload_amplitudes_generalized(can)
+        assert amps.tobytes() == no_overload_amplitudes_generalized(
+            h).tobytes()
+        assert can.ratios is feedback_ratios(can)
+        symbols = make_constellation("qam", 16).points[
+            rng.integers(0, 16, b)]
+        out, ref = mrt_generalized(can, symbols), mrt_generalized(h, symbols)
+        for name in ("xbar", "gains", "iq_bound"):
+            assert (getattr(out, name).tobytes()
+                    == getattr(ref, name).tobytes()), name
         xbar = _box_inputs(rng, n, b) * amps
-        ref = sd_generalized(xbar, h)
-        res = sd_generalized(xbar, h, ratios=ratios)
-        np.testing.assert_array_equal(res.output, ref.output)
-        np.testing.assert_array_equal(res.integrator_trace,
-                                      ref.integrator_trace)
+        _assert_same_bits(sd_generalized(xbar, can), sd_generalized(xbar, h))
+
+    @pytest.mark.parametrize("call", [
+        lambda h: no_overload_amplitudes_generalized(h),
+        lambda h: mrt_generalized(h, 1.0),
+        lambda h: mrt_generalized(h, 1.0, amplitudes=1.0),
+        lambda h: sd_generalized(np.zeros(2, dtype=complex), h),
+    ], ids=["safe_profile", "mrt_safe", "mrt_override", "modulator"])
+    def test_channel_matched_functions_reject_unsorted_gains(self, call):
+        with pytest.raises(ValueError, match="nondecreasing magnitude"):
+            call(np.array([3.0, 1.0]))
 
 
 class TestOneBit:

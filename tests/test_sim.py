@@ -1,5 +1,6 @@
 """Monte Carlo engine: reproducibility, seeding discipline, and pipelines."""
 
+import importlib.util
 import math
 import tracemalloc
 from pathlib import Path
@@ -20,7 +21,8 @@ from sdprecode.sim import (
 from sdprecode.sim import engine
 from sdprecode.sim.engine import _complex_normal
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _cfg(**overrides):
@@ -363,6 +365,21 @@ class TestScatter:
             run_iq_scatter(cfg)
 
 
+@pytest.mark.parametrize("run, name", [(run_iq_scatter, "n_realizations"),
+                                       (run_spectrum, "n_trials")])
+class TestTrialCounts:
+    def test_none_means_the_configs_count(self, run, name):
+        cfg = _cfg(scatter={"realizations": 40}, spectrum={"trials": 40})
+        default, explicit = run(cfg), run(cfg, **{name: 40})
+        for a, b in zip(default, explicit):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_counts_below_one_are_rejected(self, run, name, count):
+        with pytest.raises(ValueError, match=name):
+            run(_cfg(), **{name: count})
+
+
 class TestSpectrum:
     def test_unquantized_beam_peaks_at_zero_db(self):
         cfg = _cfg(modulator="unquantized",
@@ -424,3 +441,15 @@ class TestCurveBookkeeping:
         assert header == ["snr_db", "ser", "ber", "theory_ser",
                           "ci_halfwidth", "trials"]
         assert len(rows[0].split(",")) == len(header)
+
+
+def test_every_bench_trace_target_resolves():
+    # bench/tracing.py patches these (module, attribute) pairs for
+    # ``bench/run.py --trace 1``; a renamed or dropped one breaks the trace.
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr)), (
+            module, attr)
