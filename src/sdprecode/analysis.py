@@ -75,6 +75,12 @@ def qfunc(t):
     return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
 
 
+def _half_step_sin(spacing, angles):
+    """``sin(pi (d/lambda) sin(theta))``: the sine of half the ramp's
+    phase step, so ``|1 - exp(-j step)|^2`` is four times its square."""
+    return np.sin(0.5 * phase_step(spacing, angles))
+
+
 def noise_variance_single(gain, angle, power, noise_var, spacing):
     """Large-array variance of quantization-plus-thermal noise at one user.
 
@@ -82,17 +88,16 @@ def noise_variance_single(gain, angle, power, noise_var, spacing):
     with |angle|, shrinks with antenna spacing, and does not depend on the
     antenna count.  Batched: array arguments broadcast.
     """
-    s = np.sin(math.pi * spacing * np.sin(angle))
+    s = _half_step_sin(spacing, angle)
     return (4.0 * np.abs(gain) ** 2 * power / 3.0) * s * s + noise_var
 
 
 def noise_variance_single_exact(gain, angle, power, noise_var, spacing,
                                 n_antennas) -> float:
     """Finite-N variance, keeping the last antenna's unshaped boundary term."""
-    z = np.exp(1j * phase_step(spacing, angle))
-    shaped = abs(1.0 - 1.0 / z) ** 2
+    s = _half_step_sin(spacing, angle)
     return (abs(gain) ** 2 * power / (3.0 * n_antennas)) * (
-        shaped * (n_antennas - 1) + 1.0
+        4.0 * s * s * (n_antennas - 1) + 1.0
     ) + noise_var
 
 
@@ -110,17 +115,15 @@ def noise_variance_multipath(gains, angles, power, noise_var, spacing,
                              n_antennas) -> float:
     """Shaped-noise variance for a superposition of angular paths.
 
-    Averages the squared first-difference of the combined per-antenna channel
-    weights; reduces to the single-path expression (up to the boundary term)
-    when there is one path.
+    Averages the N squared first differences ``h_n - h_{n+1}`` of the
+    combined per-antenna channel weights; reduces to the single-path
+    expression (up to the boundary term) when there is one path.
     """
     gains = np.asarray(gains, dtype=complex)
-    angles = np.asarray(angles, dtype=float)
-    z = np.exp(1j * phase_step(spacing, angles))
-    n = np.arange(n_antennas)
-    zpow = z[None, :] ** (-n[:, None])              # (N, L): z_l^{-n}
-    diffs = zpow * (1.0 - 1.0 / z)[None, :]         # z_l^{-n} - z_l^{-n-1}
-    total = np.abs(diffs @ gains) ** 2
+    # Rows z_l^{-n} for n <= N, so rows[:, 1] = 1/z_l even at N = 1.
+    rows = steering_matrix(ArrayGeometry(n_antennas + 1, spacing), angles)
+    diffs = rows[:, :-1] * (1.0 - rows[:, 1:2])     # z_l^{-n} - z_l^{-n-1}
+    total = np.abs(gains @ diffs) ** 2
     return (power / (3.0 * n_antennas)) * float(total.sum()) + noise_var
 
 
@@ -128,9 +131,8 @@ def noise_variance_multipath_bound(gains, angles, power, noise_var,
                                    spacing) -> float:
     """N-independent upper bound on the multi-path noise variance."""
     gains = np.asarray(gains, dtype=complex)
-    angles = np.asarray(angles, dtype=float)
     n_paths = gains.size
-    s = np.sin(math.pi * spacing * np.sin(angles))
+    s = _half_step_sin(spacing, angles)
     total = float(((np.abs(gains) ** 2) * s * s).sum())
     return (4.0 * power * n_paths / 3.0) * total + noise_var
 
@@ -166,17 +168,16 @@ def effective_snr_mrt(gain, angle, power, noise_var, n_antennas,
     Grows linearly with N; extra transmit power saturates against the
     quantization term (see :func:`effective_snr_mrt_limit`).
     """
-    s = math.sin(math.pi * spacing * math.sin(angle))
-    denom = (8.0 * abs(gain) ** 2 * power / 3.0) * s * s + 2.0 * noise_var
-    if denom == 0:
+    noise = noise_variance_single(gain, angle, power, noise_var, spacing)
+    if noise == 0:
         raise ZeroDivisionError(
             "effective SNR undefined at broadside with zero thermal noise")
-    return abs(gain) ** 2 * power * n_antennas / denom
+    return float(abs(gain) ** 2 * power * n_antennas / (2.0 * noise))
 
 
 def effective_snr_mrt_limit(angle, n_antennas, spacing) -> float:
     """Power-saturated effective SNR: ``3N / (8 sin^2(pi (d/lambda) sin(theta)))``."""
-    s = math.sin(math.pi * spacing * math.sin(angle))
+    s = float(_half_step_sin(spacing, angle))
     if s == 0:
         return math.inf
     return 3.0 * n_antennas / (8.0 * s * s)
@@ -264,46 +265,38 @@ def zf_snr_lower_bound(scene: MultiUserScene) -> ZfSnrBound:
     ``P N |a_k|^2 lam_min(R)^2 / (2 K^3 sigma_{w,k}^2)`` with k the user whose
     noise-to-gain ratio is worst and R the normalized steering Gram matrix.
     Also reports the smallest eigenvalue of R and the worst pairwise
-    steering correlation rho, which sandwich ``1 >= lam_min >= 1 - (K-1) rho``.
+    steering correlation rho (the largest off-diagonal ``|R_ij|``, which is
+    ``|digital_sinc|`` of half the step difference), which sandwich
+    ``1 >= lam_min >= 1 - (K-1) rho``.
     """
-    angles, gains = scene.single_path_arrays()
-    geom = scene.geometry
-    n, k_users = geom.n_antennas, scene.n_users
-    r = steering_gram(steering_tables(geom, angles))
+    angles, worst, signal, sigma_w = _worst_user(scene)
+    r = steering_gram(steering_tables(scene.geometry, angles))
     lam_min = float(np.linalg.eigvalsh(r)[0])
-
-    if k_users > 1:
-        half_steps = (math.pi * geom.spacing_over_wavelength
-                      * (np.sin(angles)[:, None] - np.sin(angles)[None, :]))
-        corr = np.abs(digital_sinc(n, half_steps))
-        np.fill_diagonal(corr, 0.0)
-        rho = float(corr.max())
-    else:
-        rho = 0.0
-
-    sigma_w = noise_variance_single(gains, angles, scene.total_power,
-                                    scene.noise_variance,
-                                    geom.spacing_over_wavelength)
-    ratio = np.sqrt(sigma_w) / np.abs(gains)
-    worst = int(np.argmax(ratio))
-    bound = (scene.total_power * n * abs(gains[worst]) ** 2 * lam_min ** 2
-             / (2.0 * k_users ** 3 * sigma_w[worst]))
-    return ZfSnrBound(bound=bound, lam_min=lam_min, rho=rho, worst_user=worst)
+    corr = np.abs(r)
+    np.fill_diagonal(corr, 0.0)
+    bound = signal * lam_min ** 2 / (2.0 * scene.n_users ** 3 * sigma_w)
+    return ZfSnrBound(bound=bound, lam_min=lam_min, rho=float(corr.max()),
+                      worst_user=worst)
 
 
 def zf_snr_orthogonal_bound(scene: MultiUserScene) -> float:
     """Tighter floor ``P N |a_k|^2 / (2 K sigma_{w,k}^2)``, valid for
     mutually orthogonal steering vectors (the large-array regime)."""
+    _, _, signal, sigma_w = _worst_user(scene)
+    return signal / (2.0 * scene.n_users * sigma_w)
+
+
+def _worst_user(scene: MultiUserScene):
+    """``(angles, k, P N |a_k|^2, sigma_{w,k}^2)`` of a single-path scene,
+    with k the user whose noise-to-gain ratio is worst."""
     angles, gains = scene.single_path_arrays()
-    geom = scene.geometry
-    n, k_users = geom.n_antennas, scene.n_users
     sigma_w = noise_variance_single(gains, angles, scene.total_power,
                                     scene.noise_variance,
-                                    geom.spacing_over_wavelength)
-    ratio = np.sqrt(sigma_w) / np.abs(gains)
-    worst = int(np.argmax(ratio))
-    return (scene.total_power * n * abs(gains[worst]) ** 2
-            / (2.0 * k_users * sigma_w[worst]))
+                                    scene.geometry.spacing_over_wavelength)
+    worst = int(np.argmax(np.sqrt(sigma_w) / np.abs(gains)))
+    signal = scene.total_power * scene.geometry.n_antennas * abs(
+        gains[worst]) ** 2
+    return angles, worst, signal, sigma_w[worst]
 
 
 def mean_beam_power(samples: np.ndarray, geometry: ArrayGeometry,

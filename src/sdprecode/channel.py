@@ -26,7 +26,6 @@ __all__ = [
     "MultiUserScene",
     "Constellation",
     "phase_step",
-    "array_response",
     "steering_tables",
     "steering_rows",
     "steering_matrix",
@@ -225,12 +224,6 @@ def phase_step(spacing: float, angles):
     return 2.0 * np.pi * spacing * np.sin(angles)
 
 
-def array_response(geometry: ArrayGeometry, angle: float) -> np.ndarray:
-    """Phase ramp across the array for one departure angle, ``(N,)``: the
-    one-angle :func:`steering_matrix`.  Element 0 is exactly 1."""
-    return steering_matrix(geometry, angle)
-
-
 def _ramp_split(n: int) -> int:
     """Fine-table length L of an ``n``-element phase ramp: the largest divisor
     of ``n`` not above ``sqrt(n)`` (16 for 512, 1 for a prime)."""
@@ -324,7 +317,7 @@ def steering_product(tables, x) -> np.ndarray:
 def realize_channel(channel: Channel, geometry: ArrayGeometry) -> np.ndarray:
     """Per-antenna complex gain vector of length N for any channel variant."""
     if isinstance(channel, SinglePathChannel):
-        return channel.gain * array_response(geometry, channel.angle)
+        return channel.gain * steering_matrix(geometry, channel.angle)
     if isinstance(channel, MultiPathChannel):
         return channel.gains @ steering_matrix(geometry, channel.angles)
     if isinstance(channel, ArbitraryChannel):

@@ -355,11 +355,11 @@ def feedback_ratios(gains) -> np.ndarray:
 def no_overload_amplitude(phi) -> np.ndarray:
     """Largest per-rail input amplitude that keeps the steered modulator safe.
 
-    Equals ``2 - |cos(phi)| - |sin(phi)|``: 1 at phi in {0, +-pi/2, +-pi},
+    The safe amplitude of the feedback ``exp(j phi)``, which equals
+    ``2 - |cos(phi)| - |sin(phi)|``: 1 at phi in {0, +-pi/2, +-pi},
     and 2 - sqrt(2) (~0.586) at odd multiples of pi/4.
     """
-    phi = np.asarray(phi, dtype=float)
-    out = 2.0 - np.abs(np.cos(phi)) - np.abs(np.sin(phi))
+    out = _safe_amplitude(np.exp(1j * np.asarray(phi, dtype=float)))
     return out if out.ndim else float(out)
 
 
@@ -371,5 +371,10 @@ def no_overload_amplitudes_generalized(gains) -> np.ndarray:
     feedback, so A_1 = 2, and canonical ordering keeps every later A_n in
     [2-sqrt(2), 2).
     """
-    ratios = feedback_ratios(gains)
-    return 2.0 - np.abs(ratios.real) - np.abs(ratios.imag)
+    return _safe_amplitude(feedback_ratios(gains))
+
+
+def _safe_amplitude(feedback):
+    """``2 - |Re r| - |Im r|``: the largest per-rail input that keeps a
+    first-order modulator with feedback r off the rails."""
+    return 2.0 - np.abs(feedback.real) - np.abs(feedback.imag)

@@ -76,6 +76,13 @@ def _int(value) -> int:
     return operator.index(value)
 
 
+def _float(value) -> float:
+    """A number read as a float; booleans are errors, not 0.0 and 1.0."""
+    if isinstance(value, bool):
+        raise TypeError("must be a number, not a boolean")
+    return float(value)
+
+
 def _mapping(value) -> dict:
     """A YAML mapping; an empty entry reads as no keys."""
     if value is None:
@@ -89,7 +96,7 @@ def _numbers(value, count=None) -> tuple:
     """A YAML list of numbers, of ``count`` entries when given."""
     if isinstance(value, (str, bytes, dict)):
         raise TypeError("must be a list")
-    numbers = tuple(float(v) for v in value)
+    numbers = tuple(_float(v) for v in value)
     if count is not None and len(numbers) != count:
         raise ValueError(f"must have {count} entries")
     return numbers
@@ -121,10 +128,10 @@ _PAIR = partial(_numbers, count=2)
 # ChannelSpec field it sets.  Explicit ``angles_deg`` replace the first
 # three multi-user keys.
 _CHANNEL_KEYS = {
-    "single_path": (("angle_deg", float),),
+    "single_path": (("angle_deg", _float),),
     "multi_user": (("n_users", _int), ("angle_range_deg", _PAIR),
-                   ("min_separation_deg", float), ("gain_model", str),
-                   ("pathloss_ref", float), ("pathloss_range", _PAIR)),
+                   ("min_separation_deg", _float), ("gain_model", str),
+                   ("pathloss_ref", _float), ("pathloss_range", _PAIR)),
     "iid_gaussian": (),
 }
 
@@ -232,7 +239,7 @@ class SolverSpec:
     def from_dict(d: dict, path: str = "solver") -> "SolverSpec":
         d = dict(d)
         kw = {f.name: _take(d, path, f.name,
-                            _int if isinstance(f.default, int) else float)
+                            _int if isinstance(f.default, int) else _float)
               for f in fields(SolverSpec) if f.name in d}
         _no_leftovers(d, path)
         return SolverSpec(**kw)
@@ -268,12 +275,12 @@ class SolverSpec:
 # (section, or None for the top level; key; field; reader).
 _LAYOUT = (
     ("geometry", "n_antennas", "n_antennas", _int),
-    ("geometry", "spacing_over_wavelength", "spacing_over_wavelength", float),
+    ("geometry", "spacing_over_wavelength", "spacing_over_wavelength", _float),
     ("constellation", "kind", "constellation_kind", lambda v: str(v).lower()),
     ("constellation", "order", "constellation_order", _int),
     (None, "scheme", "scheme", str),
     (None, "modulator", "modulator", str),
-    (None, "dither_level", "dither_level", float),
+    (None, "dither_level", "dither_level", _float),
     (None, "amplitude_mode", "amplitude_mode", str),
     (None, "snr_db", "snr_db", _numbers),
     (None, "trials", "trials", _int),

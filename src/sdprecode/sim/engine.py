@@ -28,7 +28,6 @@ from .. import analysis, modulator, precoder
 from ..channel import (
     Constellation,
     ArrayGeometry,
-    array_response,
     bit_errors,
     canonicalize_gains,
     decide,
@@ -177,7 +176,7 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use,
                                   work=work)
         x = _modulate(cfg, out.xbar, rngs[_DITHER],
                       steer_phi=out.metadata["phi"], work=work)
-        y = array_response(geom, theta) @ x
+        y = steering_matrix(geom, theta) @ x
     return x, out.gains[:, 0], s_idx, alpha, y
 
 
@@ -451,6 +450,8 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
         lo, hi, step = cfg.spectrum_grid_deg
         angles_deg = np.arange(lo, hi + step / 2.0, step)
     angles_deg = np.asarray(angles_deg, dtype=float)
+    if angles_deg.ndim != 1:
+        raise ValueError("angles_deg must be a 1-D grid of angles")
     n_total = _trial_count(n_trials, cfg.spectrum_trials, "n_trials")
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)

@@ -16,9 +16,9 @@ from sdprecode.channel import (
     ArrayGeometry,
     MultiUserScene,
     SinglePathChannel,
-    array_response,
     make_constellation,
     realize_channel,
+    steering_matrix,
 )
 from sdprecode.modulator import (
     no_overload_amplitude,
@@ -539,7 +539,7 @@ def test_criterion_13_spectrum_shape_and_noise_model():
     q = res.quant_error
     q_prev = np.zeros_like(q)
     q_prev[1:] = q[:-1]
-    h = gain * array_response(ArrayGeometry(n, spacing), angle)
+    h = gain * steering_matrix(ArrayGeometry(n, spacing), angle)
     w = math.sqrt(power / (2 * n)) * (h @ (q - q_prev))
     sample = float(np.mean(np.abs(w) ** 2))
     predicted = analysis.noise_variance_single_exact(gain, angle, power, 0.0,

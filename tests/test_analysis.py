@@ -8,10 +8,12 @@ import pytest
 from sdprecode import analysis
 from sdprecode.channel import (
     ArrayGeometry,
+    MultiPathChannel,
     MultiUserScene,
     SinglePathChannel,
-    array_response,
     make_constellation,
+    realize_channel,
+    steering_matrix,
 )
 from sdprecode.modulator import sd_basic
 
@@ -98,6 +100,24 @@ class TestMultipathVariance:
                                                             3.0, 0.5, 0.5)
             assert val <= bound + 1e-12
 
+    @pytest.mark.parametrize("n_paths,n", [(2, 1), (2, 2), (2, 64),
+                                           (3, 127), (3, 256), (4, 512)])
+    def test_matches_summed_first_differences_of_the_channel(self, n_paths,
+                                                              n):
+        # The definition: the N first differences h_n - h_{n+1} of the
+        # combined channel, read off an (N+1)-antenna realization.
+        rng = np.random.default_rng(100 * n_paths + n)
+        power, spacing = 3.0, 0.375
+        for _ in range(10):
+            gains = rng.normal(size=n_paths) + 1j * rng.normal(size=n_paths)
+            angles = rng.uniform(-1.5, 1.5, n_paths)
+            h = realize_channel(MultiPathChannel(gains, angles),
+                                ArrayGeometry(n + 1, spacing))
+            expected = power / (3.0 * n) * np.sum(np.abs(np.diff(h)) ** 2)
+            val = analysis.noise_variance_multipath(gains, angles, power, 0.0,
+                                                    spacing, n)
+            assert val == pytest.approx(expected, rel=1e-12)
+
     def test_monte_carlo_sample_variance_matches_exact_form(self):
         # Benign (uniform) inputs keep the quantization errors effectively
         # i.i.d. uniform on the box, so the shaped-noise sample variance must
@@ -113,7 +133,7 @@ class TestMultipathVariance:
         q = res.quant_error
         q_prev = np.zeros_like(q)
         q_prev[1:] = q[:-1]
-        h = gain * array_response(geom, angle)
+        h = gain * steering_matrix(geom, angle)
         w = math.sqrt(power / (2 * n)) * (h @ (q - q_prev))
         sample = float(np.mean(np.abs(w) ** 2))
         predicted = analysis.noise_variance_single_exact(
@@ -143,6 +163,22 @@ class TestEffectiveSnr:
     def test_zf_snr(self):
         assert analysis.effective_snr_zf(8.0, 128, 3.0) == pytest.approx(
             8.0 * 9.0 / 256.0)
+
+    def test_mrt_is_coherent_gain_over_twice_the_noise(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            gain = complex(rng.normal(), rng.normal()) if rng.random() < 0.5 \
+                else float(rng.normal())
+            angle, power = rng.uniform(-1.5, 1.5), rng.uniform(0.1, 100.0)
+            noise_var, n = rng.uniform(0.0, 2.0), int(rng.integers(1, 512))
+            spacing = rng.uniform(0.05, 0.5)
+            val = analysis.effective_snr_mrt(gain, angle, power, noise_var, n,
+                                             spacing)
+            assert type(val) is float
+            sigma2 = analysis.noise_variance_single(gain, angle, power,
+                                                    noise_var, spacing)
+            assert val == pytest.approx(
+                abs(gain) ** 2 * power * n / (2.0 * sigma2), rel=1e-15)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -263,12 +299,27 @@ class TestZfSnrBound:
             assert res.lam_min <= 1.0 + 1e-9
             assert res.lam_min >= 1.0 - (scene.n_users - 1) * res.rho - 1e-9
 
+    def test_rho_is_the_largest_digital_sinc(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            k = int(rng.integers(2, 9))
+            scene = _random_scene(rng, int(rng.integers(k, 300)), k,
+                                  spacing=rng.uniform(0.1, 0.5))
+            angles, _ = scene.single_path_arrays()
+            geom = scene.geometry
+            half_steps = (math.pi * geom.spacing_over_wavelength
+                          * np.subtract.outer(np.sin(angles), np.sin(angles)))
+            corr = np.abs(analysis.digital_sinc(geom.n_antennas, half_steps))
+            np.fill_diagonal(corr, 0.0)
+            res = analysis.zf_snr_lower_bound(scene)
+            assert res.rho == pytest.approx(corr.max(), abs=1e-10)
+
 
 class TestAngularSpectrum:
     def test_unquantized_beam_peaks_at_target(self):
         geom = ArrayGeometry(64, 0.125)
         theta = 0.4
-        xbar = np.conj(array_response(geom, theta))
+        xbar = np.conj(steering_matrix(geom, theta))
         power = analysis.mean_beam_power(xbar, geom, [theta])
         assert power[0] == pytest.approx(64.0 ** 2, rel=1e-12)
         db = analysis.angular_spectrum(xbar, geom, [theta])

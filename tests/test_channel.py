@@ -13,7 +13,6 @@ from sdprecode.channel import (
     MultiPathChannel,
     MultiUserScene,
     SinglePathChannel,
-    array_response,
     bit_errors,
     canonicalize_gains,
     decide,
@@ -32,17 +31,17 @@ from sdprecode.modulator import feedback_ratios
 class TestArrayResponse:
     def test_broadside_is_all_ones(self):
         g = ArrayGeometry(4, 0.5)
-        np.testing.assert_array_equal(array_response(g, 0.0), np.ones(4))
+        np.testing.assert_array_equal(steering_matrix(g, 0.0), np.ones(4))
 
     def test_endfire_half_wavelength_alternates(self):
         g = ArrayGeometry(2, 0.5)
-        a = array_response(g, math.pi / 2)
+        a = steering_matrix(g, math.pi / 2)
         np.testing.assert_allclose(a, [1.0, -1.0], atol=1e-12)
 
     def test_eighth_wavelength_phase_step(self):
         # d/lambda = 1/8, angle pi/6: per-element phase step is -pi/8.
         g = ArrayGeometry(3, 0.125)
-        a = array_response(g, math.pi / 6)
+        a = steering_matrix(g, math.pi / 6)
         expected = np.exp(-1j * np.pi / 8 * np.arange(3))
         np.testing.assert_allclose(a, expected, atol=1e-12)
         np.testing.assert_allclose(a[2], np.exp(-1j * np.pi / 4), atol=1e-12)
@@ -50,24 +49,24 @@ class TestArrayResponse:
     def test_unit_modulus_everywhere(self):
         g = ArrayGeometry(33, 0.37)
         for ang in (-1.2, -0.3, 0.9, 1.5):
-            np.testing.assert_allclose(np.abs(array_response(g, ang)), 1.0,
+            np.testing.assert_allclose(np.abs(steering_matrix(g, ang)), 1.0,
                                        atol=1e-12)
 
     def test_first_element_exactly_one(self):
         g = ArrayGeometry(8, 0.25)
-        assert array_response(g, 0.7)[0] == 1.0 + 0.0j
+        assert steering_matrix(g, 0.7)[0] == 1.0 + 0.0j
 
     def test_angle_out_of_range_rejected(self):
         g = ArrayGeometry(4, 0.5)
         with pytest.raises(ValueError):
-            array_response(g, 2.0)
+            steering_matrix(g, 2.0)
 
     def test_steering_matrix_rows_match(self):
         g = ArrayGeometry(5, 0.3)
         angles = [-0.5, 0.0, 1.1]
         m = steering_matrix(g, angles)
         for i, ang in enumerate(angles):
-            np.testing.assert_allclose(m[i], array_response(g, ang))
+            np.testing.assert_allclose(m[i], steering_matrix(g, ang))
 
 
 class TestTwoFactorSteering:

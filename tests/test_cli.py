@@ -111,6 +111,12 @@ def test_incompatible_pair_exits_2(tmp_path, capsys):
      "constellation.order"),
     ({"solver": {"nullspace_max_iters": 120.9}}, "solver.nullspace_max_iters"),
     ({"trials": True}, "trials"),
+    ({"dither_level": True}, "dither_level"),
+    ({"dither_level": False}, "dither_level"),
+    ({"solver": {"tol": True}}, "solver.tol"),
+    ({"snr_db": [True, 2]}, "snr_db"),
+    ({"channel": {"model": "single_path", "angle_deg": True}},
+     "channel.angle_deg"),
 ])
 def test_mistyped_value_exits_2_naming_the_key(tmp_path, capsys, patch, key):
     cfg = _write_cfg(tmp_path, {**MINIMAL, **patch})

@@ -158,6 +158,16 @@ class TestSafeAmplitudes:
         assert amps.min() >= 2 - math.sqrt(2) - 1e-12
         assert amps.max() <= 1.0 + 1e-12
 
+    def test_bits_of_the_cosine_sine_form(self):
+        # The steered precoder scales by this amplitude, so its bits are
+        # the engine's: pin them to the rule's cos/sin reading.
+        phis = np.linspace(-math.pi, math.pi, 20001)
+        expected = 2.0 - np.abs(np.cos(phis)) - np.abs(np.sin(phis))
+        assert no_overload_amplitude(phis).tobytes() == expected.tobytes()
+        for phi in phis[::1000]:
+            assert no_overload_amplitude(phi) == float(
+                2.0 - abs(np.cos(phi)) - abs(np.sin(phi)))
+
     def test_generalized_profile(self):
         h = np.ones(5, dtype=complex)
         amps = no_overload_amplitudes_generalized(h)

@@ -11,7 +11,6 @@ from sdprecode.channel import (
     ArrayGeometry,
     MultiUserScene,
     SinglePathChannel,
-    array_response,
     canonicalize_gains,
     make_constellation,
     realize_channel,
@@ -190,7 +189,7 @@ class TestZfPrecode:
         out = zf_precode(scene, s)
         angles = [ch.angle for ch in scene.channels]
         gains = np.array([ch.gain for ch in scene.channels])
-        a = np.stack([array_response(scene.geometry, t) for t in angles])
+        a = np.stack([steering_matrix(scene.geometry, t) for t in angles])
         sigma = np.sqrt([analysis.noise_variance_for_channel(
             ch, scene.total_power, scene.noise_variance,
             scene.geometry.spacing_over_wavelength,

@@ -395,6 +395,11 @@ class TestSpectrum:
                                   n_trials=32)
         assert angles.shape == db.shape == (3,)
 
+    @pytest.mark.parametrize("grid", [30.0, [[-10.0, 0.0], [10.0, 20.0]]])
+    def test_grid_must_be_one_dimensional(self, grid):
+        with pytest.raises(ValueError, match="angles_deg"):
+            run_spectrum(_cfg(), angles_deg=grid, n_trials=8)
+
 
 class TestBlockSchemes:
     def test_zf_qam_block_runs_and_counts_bits(self):
