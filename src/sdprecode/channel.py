@@ -196,10 +196,10 @@ class MultiUserScene:
         object.__setattr__(self, "channels", tuple(self.channels))
         if not 1 <= len(self.channels) <= self.geometry.n_antennas:
             raise ValueError("need 1 <= K <= N users")
-        if self.total_power <= 0:
-            raise ValueError("total_power must be positive")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
+        if not 0 < self.total_power < math.inf:
+            raise ValueError("total_power must be positive and finite")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be nonnegative and finite")
 
     @property
     def n_users(self) -> int:
@@ -212,7 +212,7 @@ class MultiUserScene:
         when a gain is zero, since the zero-forcing designs divide by it.
         """
         if not all(isinstance(ch, SinglePathChannel) for ch in self.channels):
-            raise TypeError("zero-forcing needs single-path channels")
+            raise TypeError("multi-user designs need single-path channels")
         gains = np.array([ch.gain for ch in self.channels], dtype=complex)
         if np.any(gains == 0):
             raise ValueError("channel gains must be nonzero")

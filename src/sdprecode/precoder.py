@@ -12,11 +12,11 @@ arrays and are batched over leading axes of their inputs.  ``xbar`` puts the
 antenna axis first and the batch axes after it, the layout the modulators
 consume; ``gains`` and per-instance metadata carry the batch axes first and
 the user axis last.  Block designs end in a symbol-time axis, so one scene's
-``(K, T)`` block gives ``xbar`` of shape ``(N, T)``.  The zero-forcing
-designs take the users' steering as the ``(fine, coarse)`` phase tables of
-``channel.steering_tables`` and never hold the ``(..., K, N)`` stack.  The
-channel- and scene-object functions unpack their objects and call the same
-array code.
+``(K, T)`` block gives ``xbar`` of shape ``(N, T)``.  Every multi-user
+design takes ``(tables, gains, noise_std, symbols)``, with the users'
+steering as the ``(fine, coarse)`` phase tables of
+``channel.steering_tables``.  The channel- and scene-object functions unpack
+their objects and call the same array code.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .channel import (
     SinglePathChannel,
     as_canonical,
     phase_step,
-    realize_channel,
     steering_gram,
     steering_matrix,
     steering_rows,
@@ -211,18 +210,18 @@ def mrt_generalized(gains, symbols,
     )
 
 
-def _scene_noise_std(scene: MultiUserScene) -> np.ndarray:
+def _scene_arrays(scene: MultiUserScene):
+    """``(tables, gains, noise_std)`` of an all-single-path scene: the
+    inputs of the multi-user array designs."""
+    angles, gains = scene.single_path_arrays()
     geom = scene.geometry
-    var = np.array([
-        analysis.noise_variance_for_channel(
-            ch, scene.total_power, scene.noise_variance,
-            geom.spacing_over_wavelength, geom.n_antennas)
-        for ch in scene.channels
-    ])
+    var = analysis.noise_variance_single(gains, angles, scene.total_power,
+                                         scene.noise_variance,
+                                         geom.spacing_over_wavelength)
     if np.any(var <= 0):
         raise ValueError("per-user noise variance must be positive "
                          "(zero thermal noise at broadside is degenerate)")
-    return np.sqrt(var)
+    return steering_tables(geom, angles), gains, np.sqrt(var)
 
 
 # Trials whose steering rows the zero-forcing back-projection holds at once:
@@ -343,9 +342,7 @@ def _scene_block(design, scene: MultiUserScene, symbols, **kwargs):
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.ndim != 2 or symbols.shape[0] != scene.n_users:
         raise ValueError("symbols must be (K, T)")
-    angles, gains = scene.single_path_arrays()
-    out = design(steering_tables(scene.geometry, angles), gains,
-                 _scene_noise_std(scene), symbols, **kwargs)
+    out = design(*_scene_arrays(scene), symbols, **kwargs)
     meta = _scalars(out.metadata)
     meta["snr_eff"] = analysis.effective_snr_zf(
         scene.total_power, scene.geometry.n_antennas, meta["gamma"])
@@ -457,30 +454,37 @@ def margin_rows(h_rows: np.ndarray, symbols: np.ndarray,
                 noise_std: np.ndarray, order: int) -> MarginRows:
     """The worst-user margin program of :func:`minimax_coefficients` as
     :class:`MarginRows`, batched over the same leading axes."""
-    h_rows = np.asarray(h_rows, dtype=complex)
     symbols = np.asarray(symbols, dtype=complex)
     noise_std = np.asarray(noise_std, dtype=float)
-    rows = np.conj(symbols)[..., None] * h_rows * (1.0 / noise_std[..., None])
+    rows = np.conj(symbols)[..., None] * h_rows
+    rows *= 1.0 / noise_std[..., None]
     cot = 0.0 if order == 2 else 1.0 / math.tan(math.pi / order)
     return MarginRows(rows, cot)
 
 
-def slp_arrays(h_rows, symbols, noise_std, order: int, solver: str = "primal",
+def slp_arrays(tables, gains, noise_std, symbols, order: int,
+               solver: str = "primal",
                params: Optional[optim.ApgParams] = None) -> PrecodeOutput:
     """Per-symbol-time design maximizing the worst user's decision margin.
 
-    Batched over leading axes of ``h_rows`` ``(..., K, N)``, ``symbols``
-    ``(..., K)`` and ``noise_std`` ``(..., K)``.  Solves the box-constrained
-    minimax program either by the smoothed primal APG or by the simplex-dual
-    APG with closed-form primal recovery.  Instances that hit the iteration
-    cap are flagged in ``metadata["converged"]``, not raised.
+    Inputs as in :func:`zf_arrays`; each symbol time is its own program, so
+    ``gains`` ``(..., T, K)`` and the metadata end in a time axis and ``xbar``
+    is ``(N, ..., T)``.  Solves the box-constrained minimax program on the
+    margin rows (the channel rows are dropped first) by the smoothed primal
+    APG or by the simplex-dual APG with closed-form primal recovery, and
+    reads ``margins`` and ``gains`` from its columns at the solution.
+    Capped instances are flagged in ``metadata["converged"]``, not raised.
     """
     if order < 2:
         raise ValueError("PSK order must be >= 2")
     if solver not in ("primal", "dual"):
         raise ValueError("solver must be 'primal' or 'dual'")
-    symbols = np.asarray(symbols, dtype=complex)
-    problem = margin_rows(h_rows, symbols, noise_std, order)
+    rows = steering_rows(tables)
+    np.multiply(np.asarray(gains)[..., None], rows, out=rows)
+    sigma = np.asarray(noise_std, dtype=float)[..., None, :]
+    problem = margin_rows(rows[..., None, :, :],
+                          np.swapaxes(symbols, -1, -2), sigma, order)
+    del rows
 
     if solver == "primal":
         if params is None:
@@ -498,19 +502,17 @@ def slp_arrays(h_rows, symbols, noise_std, order: int, solver: str = "primal",
             "duality_gap": res.gap,
         }
 
-    xbar = optim.unstack_complex(res.x)
-    received = (h_rows @ xbar[..., None])[..., 0]
+    first, second = np.split(problem.rmatvec(res.x), 2, axis=-1)
     meta.update(
         solver=solver,
         iterations=res.iterations,
         converged=res.converged,
         restarts=res.restarts,
-        margins=analysis.psk_decision_margin(received, symbols, order)
-        / noise_std,
+        margins=-np.maximum(first, second),
     )
     return PrecodeOutput(
-        xbar=np.moveaxis(xbar, -1, 0),
-        gains=(received * np.conj(symbols)).real,
+        xbar=np.moveaxis(optim.unstack_complex(res.x), -1, 0),
+        gains=-(first + second) * (0.5 * sigma),
         iq_bound=np.float64(1.0),
         metadata=meta,
     )
@@ -522,8 +524,8 @@ def slp_psk(scene: MultiUserScene, symbols, order: int, solver: str = "primal",
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.shape != (scene.n_users,):
         raise ValueError("need one symbol per user")
-    h_rows = np.stack([realize_channel(ch, scene.geometry)
-                       for ch in scene.channels])
-    out = slp_arrays(h_rows, symbols, _scene_noise_std(scene), order, solver,
+    out = slp_arrays(*_scene_arrays(scene), symbols[:, None], order, solver,
                      params)
-    return replace(out, metadata=_scalars(out.metadata))
+    meta = {k: v[0] if np.ndim(v) else v for k, v in out.metadata.items()}
+    return replace(out, xbar=out.xbar[:, 0], gains=out.gains[0],
+                   metadata=_scalars(meta))

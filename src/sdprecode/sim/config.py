@@ -77,9 +77,9 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A number read as a float; booleans are errors, not 0.0 and 1.0."""
-    if isinstance(value, bool):
-        raise TypeError("must be a number, not a boolean")
+    """A number read as a float; booleans and strings are errors."""
+    if isinstance(value, (bool, str, bytes)):
+        raise TypeError(f"must be a number, not {type(value).__name__}")
     return float(value)
 
 

@@ -35,7 +35,6 @@ from ..channel import (
     phase_step,
     steering_matrix,
     steering_product,
-    steering_rows,
     steering_tables,
 )
 # For bench/tracing.py, which patches them here; run_solve calls iq_inf_norm.
@@ -225,8 +224,8 @@ def _multiuser_step(cfg, const, power, angles, alpha, symbols):
     batch of scenes: ``(B, K)`` angles and gains, ``(B, K, T)`` symbols.
 
     Returns ``(tables, out)`` with the ``(fine, coarse)`` steering tables
-    (``channel.steering_tables``) and ``out.xbar`` as ``(N, B, T)``.  Only
-    the margin designs build the whole steering stack.
+    (``channel.steering_tables``) and ``out.xbar`` as ``(N, B, T)``.  Every
+    design takes the same ``(tables, gains, noise_std, symbols)``.
     """
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
     tables = steering_tables(geom, angles)
@@ -234,11 +233,9 @@ def _multiuser_step(cfg, const, power, angles, alpha, symbols):
         alpha, angles, power, 1.0, cfg.spacing_over_wavelength))
     if cfg.scheme in ("slp_primal", "slp_dual"):
         solver = cfg.scheme[len("slp_"):]
-        # One margin program per symbol time: time joins the batch axes.
-        h_rows = (alpha[..., None] * steering_rows(tables))[:, None]
         return tables, precoder.slp_arrays(
-            h_rows, symbols.swapaxes(-1, -2), sigma_w[:, None], const.order,
-            solver, cfg.solver.apg_params(solver))
+            tables, alpha, sigma_w, symbols, const.order, solver,
+            cfg.solver.apg_params(solver))
     if cfg.scheme == "nullspace_zf":
         return tables, precoder.nullspace_zf_arrays(
             tables, alpha, sigma_w, symbols,

@@ -252,6 +252,14 @@ class TestSceneValidation:
             MultiUserScene(g, [SinglePathChannel(1.0, 0.0)],
                            total_power=0.0, noise_variance=1.0)
 
+    @pytest.mark.parametrize("field", ["total_power", "noise_variance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_power_and_noise_finite(self, field, value):
+        g = ArrayGeometry(2, 0.5)
+        kw = {"total_power": 1.0, "noise_variance": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            MultiUserScene(g, [SinglePathChannel(1.0, 0.0)], **kw)
+
 
 class TestConstellations:
     def test_bpsk(self):

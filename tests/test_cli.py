@@ -117,6 +117,13 @@ def test_incompatible_pair_exits_2(tmp_path, capsys):
     ({"snr_db": [True, 2]}, "snr_db"),
     ({"channel": {"model": "single_path", "angle_deg": True}},
      "channel.angle_deg"),
+    ({"dither_level": "0.5"}, "dither_level"),
+    ({"geometry": {"n_antennas": 32, "spacing_over_wavelength": "0.125"}},
+     "geometry.spacing_over_wavelength"),
+    ({"channel": {"model": "single_path", "angle_deg": "30"}},
+     "channel.angle_deg"),
+    ({"snr_db": ["1", "2"]}, "snr_db"),
+    ({"trials": "10"}, "trials"),
 ])
 def test_mistyped_value_exits_2_naming_the_key(tmp_path, capsys, patch, key):
     cfg = _write_cfg(tmp_path, {**MINIMAL, **patch})

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sdprecode import analysis
+from sdprecode import analysis, optim
 from sdprecode.channel import (
     ArrayGeometry,
+    MultiPathChannel,
     MultiUserScene,
     SinglePathChannel,
     canonicalize_gains,
@@ -35,6 +36,7 @@ from sdprecode.precoder import (
     nullspace_basis,
     nullspace_zf,
     nullspace_zf_arrays,
+    slp_arrays,
     slp_psk,
     zf_arrays,
     zf_precode,
@@ -479,3 +481,77 @@ class TestSlp:
         scene = _random_scene(rng, 8, 2)
         with pytest.raises(ValueError):
             slp_psk(scene, np.array([1.0, 1.0]), 8, solver="newton")
+
+
+class TestSlpFromTables:
+    """The margin design from the tables gives the bits of the solver run
+    on the margin rows of the stacked channel ``gains * steering``."""
+
+    @staticmethod
+    def _bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    # An slp_multiuser chunk's width per symbol time, and a prime N over a
+    # three-symbol block.
+    @pytest.mark.parametrize("b,k,n,t_len", [(8, 24, 512, 1), (3, 5, 97, 3)])
+    @pytest.mark.parametrize("solver", ["primal", "dual"])
+    def test_bits_match_the_row_solve(self, b, k, n, t_len, solver):
+        angles, tables, gains, noise_std, symbols = _zf_batch(n, k, t_len, b)
+        params = SolverSpec(max_iters=40, dual_max_iters=40).apg_params(
+            solver)
+        out = slp_arrays(tables, gains, noise_std, symbols, 8, solver, params)
+
+        h = gains[..., None] * steering_matrix(ArrayGeometry(n, 0.125), angles)
+        s = symbols.swapaxes(-1, -2)
+        problem = margin_rows(h[:, None], s, noise_std[:, None], 8)
+        if solver == "primal":
+            res = optim.primal_apg(problem, params)
+            objective = res.value
+        else:
+            res = optim.dual_apg(problem, params)
+            objective = optim.minimax_value(problem, res.x)
+        xbar = np.moveaxis(optim.unstack_complex(res.x), -1, 0)
+        assert out.xbar.shape == (n, b, t_len)
+        assert np.array_equal(self._bits(out.xbar), self._bits(xbar))
+        assert np.array_equal(self._bits(out.metadata["objective"]),
+                              self._bits(objective))
+        for key in ("iterations", "restarts"):
+            assert np.array_equal(out.metadata[key], getattr(res, key)), key
+
+        received = (h @ np.moveaxis(xbar, 0, -2)).swapaxes(-1, -2)
+        margins = analysis.psk_decision_margin(received, s, 8) \
+            / noise_std[:, None]
+        rx_gains = (np.conj(s) * received).real
+        for got, want in ((out.metadata["margins"], margins),
+                          (out.gains, rx_gains)):
+            assert got.shape == (b, t_len, k)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_every_multiuser_design_takes_the_same_inputs(self):
+        b, k, n, t_len = 3, 5, 97, 3
+        _, tables, gains, noise_std, symbols = _zf_batch(n, k, t_len, b)
+        spec = SolverSpec(max_iters=5, nullspace_max_iters=5)
+        designs = [
+            zf_arrays(tables, gains, noise_std, symbols),
+            nullspace_zf_arrays(tables, gains, noise_std, symbols,
+                                params=spec.apg_params("nullspace")),
+            slp_arrays(tables, gains, noise_std, symbols, 8, "primal",
+                       spec.apg_params("primal")),
+        ]
+        for out in designs:
+            assert out.xbar.shape == (n, b, t_len)
+
+
+@pytest.mark.parametrize("adapter", [
+    lambda scene, s: zf_precode(scene, s),
+    lambda scene, s: zf_precode_qam_block(scene, s[:, None]),
+    lambda scene, s: nullspace_zf(scene, s[:, None]),
+    lambda scene, s: slp_psk(scene, s, 8),
+], ids=["zf_precode", "zf_precode_qam_block", "nullspace_zf", "slp_psk"])
+def test_scene_adapters_need_single_path_users(adapter):
+    chans = (SinglePathChannel(1.0, 0.2),
+             MultiPathChannel(gains=[0.7, 0.2j], angles=[0.4, -0.3]))
+    scene = MultiUserScene(ArrayGeometry(16, 0.125), chans, 10.0, 1.0)
+    with pytest.raises(TypeError, match="single-path"):
+        adapter(scene, np.ones(2, dtype=complex))

@@ -340,6 +340,30 @@ class TestMultiUserMemory:
             peaks.append(peak)
         assert peaks[1] <= 8 * 2 ** 20
 
+    def test_margin_step_holds_two_stacks(self):
+        # One 128-trial chunk of the shipped slp_multiuser config, solver
+        # capped at 3 iterations.  The channel rows are scaled in place and
+        # dropped once the margin rows exist; the solver's Gram takes a
+        # conjugate copy of those.  A third stack would read 3.1.
+        raw = yaml.safe_load((CONFIGS / "slp_multiuser.yaml").read_text())
+        raw["solver"]["dual_max_iters"] = 3
+        cfg = SimConfig.from_dict(raw)
+        const = make_constellation(cfg.constellation_kind,
+                                   cfg.constellation_order)
+        b, k = engine._CHUNK, cfg.channel.n_users
+        rngs = engine._streams(cfg.seed, 0, 0, 0)
+        angles, alpha = engine._draw_mu_channel(cfg, rngs[0], b)
+        symbols = const.points[rngs[1].integers(0, const.order, (b, k, 1))]
+        tracemalloc.start()
+        try:
+            _, out = engine._multiuser_step(cfg, const, 10.0, angles, alpha,
+                                            symbols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.xbar.shape == (cfg.n_antennas, b, 1)
+        assert peak <= 2.5 * b * k * cfg.n_antennas * 16
+
 
 class TestScatter:
     def test_unquantized_scatter_is_exact(self):
