@@ -52,6 +52,11 @@ def _check_angles(angles) -> None:
         raise ValueError("angles must lie in [-pi/2, pi/2]")
 
 
+def _check_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array described by antenna count and spacing in wavelengths."""
@@ -74,6 +79,7 @@ class SinglePathChannel:
     angle: float
 
     def __post_init__(self):
+        _check_finite("gain", self.gain)
         _check_angles(self.angle)
 
 
@@ -89,6 +95,7 @@ class MultiPathChannel:
         angles = _readonly(np.array(self.angles, float))
         if gains.ndim != 1 or gains.shape != angles.shape or gains.size < 1:
             raise ValueError("gains and angles must be equal-length 1-D arrays")
+        _check_finite("gains", gains)
         _check_angles(angles)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "angles", angles)
@@ -112,6 +119,7 @@ class ArbitraryChannel:
         coeffs = _readonly(np.array(self.coefficients, complex))
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ValueError("coefficients must be a 1-D array")
+        _check_finite("coefficients", coeffs)
         if np.any(coeffs == 0):
             raise ValueError("arbitrary channel coefficients must all be nonzero")
         object.__setattr__(self, "coefficients", coeffs)

@@ -28,7 +28,10 @@ then that of n (1-based), which gives (Gray, IEEE Trans. Commun. 1989)
     X_n = 2*floor((S_n - p_n)/2) + p_n + 1,   p_n = (n - 1) mod 2.
 
 That is one prefix sum plus a few whole-array passes instead of a loop over
-antennas.  In floating point the two traces differ by rounding, so each run
+antennas.  The prefix sum is one ``np.add.accumulate`` call on an input of
+at most 1 MiB, and one addition per antenna above that size, where it is
+faster; both add in the same order, so the sums are the same bits.  In
+floating point the two traces differ by rounding, so each run
 is certified: every ``b_n`` must lie in (-2 + tol, 2 - tol) and every
 ``|q_n|`` must be below ``1 - tol``.  Then the loop's ``b_n`` sits within 1
 of the same ``x_n = +-1``, strictly on its side of zero, so by induction
@@ -239,6 +242,12 @@ def _recursion(xbar, fb, dither, work):
     return x, b
 
 
+# Largest (N, runs) input whose prefix sums one ``np.add.accumulate`` call
+# forms; above it one addition per antenna row is faster, since the input
+# outgrows the cache.
+_ACCUMULATE_BYTES = 1 << 20
+
+
 def _unit_feedback(xbar, work):
     """Closed form of the unit-feedback loop on (N, runs) input.
 
@@ -248,9 +257,12 @@ def _unit_feedback(xbar, work):
     """
     n_ant = xbar.shape[0]
     b = work.array("b", xbar.shape)              # prefix sums S, then b
-    b[0] = xbar[0]
-    for n in range(1, n_ant):
-        np.add(b[n - 1], xbar[n], out=b[n])
+    if xbar.nbytes <= _ACCUMULATE_BYTES:
+        np.add.accumulate(xbar, axis=0, out=b)
+    else:
+        b[0] = xbar[0]
+        for n in range(1, n_ant):
+            np.add(b[n - 1], xbar[n], out=b[n])
     s = b.view(float)
     xsum = work.array("q", s.shape, float)       # prefix sums X, then q
     x = work.array("x", s.shape, float)

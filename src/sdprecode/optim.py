@@ -315,7 +315,8 @@ def huber(y, tau) -> np.ndarray:
     if tau <= 0:
         raise ValueError("tau must be positive")
     y = np.asarray(y, dtype=float)
-    out = np.where(np.abs(y) <= tau, y * y / (2.0 * tau), np.abs(y) - tau / 2.0)
+    mag = np.abs(y)
+    out = np.where(mag <= tau, y * y / (2.0 * tau), mag - tau / 2.0)
     return out if out.ndim else float(out)
 
 

@@ -224,8 +224,9 @@ def _scene_arrays(scene: MultiUserScene):
     return steering_tables(geom, angles), gains, np.sqrt(var)
 
 
-# Trials whose steering rows the zero-forcing back-projection holds at once:
-# 3 MiB at K = 24, N = 512, instead of the whole chunk's stack.
+# Scenes whose steering rows the zero-forcing back-projection rebuilds at
+# once for T > 1 (T = 1 rebuilds none): 3 MiB at K = 24, N = 512, instead
+# of the whole chunk's stack.
 _ROWS_SLICE = 16
 
 
@@ -234,10 +235,13 @@ def _zf_targets(tables, gains, noise_std, symbols) -> np.ndarray:
     the weighted symbols, solved through the K x K steering Gram matrix
     (never N x N).
 
-    The back-projection ``S^H y`` is taken as ``conj(y^H S)`` against rows
-    rebuilt from ``tables`` for ``_ROWS_SLICE`` trials at a time: the same
+    At T = 1 the back-projection ``S^H y`` factors over the tables like
+    ``channel.steering_product``: ``coarse^T (conj(y) * fine)`` is the
+    ``(N/L, L)`` block of ``conj(S^H y)``, one batched product with no
+    rows.  For T > 1 it is taken as ``conj(y^H S)`` against rows rebuilt
+    from ``tables`` for ``_ROWS_SLICE`` trials at a time, the same
     per-trial products, and so the same bits, as one product against the
-    whole stack.
+    whole stack; there that is faster than the factored form.
     """
     fine, coarse = tables
     n = fine.shape[-1] * coarse.shape[-1]
@@ -248,6 +252,10 @@ def _zf_targets(tables, gains, noise_std, symbols) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("steering vectors are linearly dependent "
                          "(coincident user angles)") from exc
+    if y.shape[-1] == 1:
+        back = np.swapaxes(coarse, -1, -2) @ (np.conj(y) * fine)
+        back = back.reshape(back.shape[:-2] + (n, 1))
+        return np.conj(back, out=back) / n
     yh = np.conj(y).swapaxes(-1, -2)
     batch, (t_len, k) = yh.shape[:-2], yh.shape[-2:]
     yh = yh.reshape(-1, t_len, k)
@@ -280,9 +288,10 @@ def zf_arrays(tables, gains, noise_std, symbols) -> PrecodeOutput:
 
     ``tables`` are the users' ``(fine, coarse)`` phase tables
     (``channel.steering_tables``), ``(..., K, L)`` and ``(..., K, N/L)``:
-    the Gram comes from them (``channel.steering_gram``) and the steering
-    rows are rebuilt from them a few trials at a time, so the ``(..., K,
-    N)`` stack is never held.  ``gains`` and ``noise_std`` are ``(..., K)``
+    the Gram comes from them (``channel.steering_gram``), and so does the
+    back-projection, factored at T = 1 and against steering rows rebuilt a
+    few trials at a time for T > 1, so the ``(..., K, N)`` stack is never
+    held.  ``gains`` and ``noise_std`` are ``(..., K)``
     and ``symbols`` is ``(..., K, T)``.
     Nulls inter-user interference and weights each user by its own noise
     standard deviation, so every user lands at the same effective SNR

@@ -260,6 +260,21 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match=field):
             MultiUserScene(g, [SinglePathChannel(1.0, 0.0)], **kw)
 
+    # Each channel kind with one entry of its gain field set to a bad value.
+    CHANNELS = {
+        "gain": lambda bad: SinglePathChannel(bad, 0.1),
+        "gains": lambda bad: MultiPathChannel([1.0, bad], [0.1, -0.2]),
+        "coefficients": lambda bad: ArbitraryChannel([1.0, bad, 0.5j]),
+    }
+
+    @pytest.mark.parametrize("field", sorted(CHANNELS))
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
+                                     complex(0.0, math.nan), math.inf,
+                                     -math.inf, complex(1.0, -math.inf)])
+    def test_channel_gains_finite(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            self.CHANNELS[field](bad)
+
 
 class TestConstellations:
     def test_bpsk(self):

@@ -383,6 +383,27 @@ class TestClosedFormAgainstLoop:
                     + 1j * np.round(xbar.imag * 2 ** bits)) / 2 ** bits
         _assert_matches_loop(sd_basic(xbar), xbar)
 
+    def test_narrow_and_wide_batches_agree_per_column(self, monkeypatch):
+        # The narrow batch (400 KiB) forms its prefix sums in one call, the
+        # wide one (2.5 MiB, the same columns inside) one antenna at a time.
+        rng = np.random.default_rng(25)
+        narrow = _box_inputs(rng, 256, 100, bound=0.95)
+        wide = _box_inputs(rng, 256, 640, bound=0.95)
+        cols = slice(300, 400)
+        wide[:, cols] = narrow
+        assert narrow.nbytes <= modulator._ACCUMULATE_BYTES < wide.nbytes
+
+        def no_loop(*args):
+            raise AssertionError("a run failed its certificate")
+
+        monkeypatch.setattr(modulator, "_recursion", no_loop)
+        res_narrow, res_wide = sd_basic(narrow), sd_basic(wide)
+        for name in ("output", "quant_error", "integrator_trace",
+                     "peak_integrator"):
+            part = np.asarray(getattr(res_wide, name))[..., cols]
+            ref = np.asarray(getattr(res_narrow, name))
+            assert np.ascontiguousarray(part).tobytes() == ref.tobytes(), name
+
 
 _CANONICAL = canonicalize_gains(
     _box_inputs(np.random.default_rng(22), 48, 1)[:, 0]).coefficients

@@ -165,6 +165,15 @@ class TestHuber:
         with pytest.raises(ValueError):
             huber(1.0, 0.0)
 
+    @pytest.mark.parametrize("tau", [0.005, 0.1, 0.5, 1.0])
+    def test_bits_of_the_two_branch_formula(self, tau):
+        ys = np.concatenate([np.linspace(-3.0, 3.0, 6001),
+                             [tau, -tau, np.nextafter(tau, 0.0),
+                              np.nextafter(tau, 1.0), 0.0, -0.0]])
+        ref = np.where(np.abs(ys) <= tau, ys * ys / (2.0 * tau),
+                       np.abs(ys) - tau / 2.0)
+        assert huber(ys, tau).tobytes() == ref.tobytes()
+
 
 class TestProjectSimplex:
     def test_fixed_points_and_known_cases(self):

@@ -238,9 +238,9 @@ def _zf_batch(n, k, t_len, b, seed=12):
 class TestZfMemory:
     def test_step_never_holds_the_steering_stack(self):
         # One engine chunk of the shipped zf_multiuser config: 128 scenes,
-        # 24 users, 512 antennas, one symbol each.  The Gram comes from the
-        # tables and the back-projection from rows rebuilt 16 scenes at a
-        # time, so the step peaks at a fraction of the 24 MiB stack.
+        # 24 users, 512 antennas, one symbol each.  The Gram and, at T = 1,
+        # the back-projection come from the tables with no steering row
+        # rebuilt, so the step peaks at a sixth of the 24 MiB stack.
         b, k, n = 128, 24, 512
         _, tables, gains, _, symbols = _zf_batch(n, k, 1, b)
         tracemalloc.start()
@@ -250,13 +250,15 @@ class TestZfMemory:
         finally:
             tracemalloc.stop()
         assert out.xbar.shape == (n, b, 1)
-        assert peak <= b * k * n * 16 / 4
+        assert peak <= b * k * n * 16 / 6
 
 
 class TestZfFromTables:
-    """The designs from the tables give the bits of the stacked-row design,
-    which back-projects against the whole ``(B, K, N)`` steering stack in
-    one product."""
+    """The designs from the tables match the stacked-row design, which
+    back-projects against the whole ``(B, K, N)`` steering stack in one
+    product: bit for bit for T > 1, where the rows are rebuilt from the
+    tables, and to roundoff at T = 1, where the back-projection factors over
+    the tables and adds each antenna's K user terms in another grouping."""
 
     @staticmethod
     def _stacked(steering, gains, noise_std, symbols, params=None):
@@ -307,8 +309,16 @@ class TestZfFromTables:
         xbar, out_gains = self._stacked(steering, gains, noise_std, symbols,
                                         params)
         assert out.xbar.shape == (n, b, t_len)
-        assert np.array_equal(self._bits(out.xbar), self._bits(xbar))
-        assert np.array_equal(self._bits(out.gains), self._bits(out_gains))
+        if t_len == 1:
+            bound = k * np.finfo(float).eps
+            assert (np.abs(out.xbar - xbar).max()
+                    <= bound * np.abs(xbar).max())
+            assert (np.abs(out.gains - out_gains).max()
+                    <= bound * np.abs(out_gains).max())
+        else:
+            assert np.array_equal(self._bits(out.xbar), self._bits(xbar))
+            assert np.array_equal(self._bits(out.gains),
+                                  self._bits(out_gains))
 
 
 class TestZfBlock:
