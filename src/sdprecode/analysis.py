@@ -17,11 +17,8 @@ import numpy as np
 
 from .channel import (
     ArrayGeometry,
-    ArbitraryChannel,
     Constellation,
-    MultiPathChannel,
     MultiUserScene,
-    SinglePathChannel,
     phase_step,
     steering_gram,
     steering_matrix,
@@ -37,7 +34,6 @@ __all__ = [
     "noise_variance_steered",
     "noise_variance_multipath",
     "noise_variance_multipath_bound",
-    "noise_variance_for_channel",
     "effective_snr_mrt",
     "effective_snr_mrt_limit",
     "effective_snr_steered",
@@ -49,6 +45,8 @@ __all__ = [
     "zf_snr_lower_bound",
     "zf_snr_orthogonal_bound",
     "digital_sinc",
+    "beam_power_sum",
+    "spectrum_db",
     "mean_beam_power",
     "angular_spectrum",
 ]
@@ -135,29 +133,6 @@ def noise_variance_multipath_bound(gains, angles, power, noise_var,
     s = _half_step_sin(spacing, angles)
     total = float(((np.abs(gains) ** 2) * s * s).sum())
     return (4.0 * power * n_paths / 3.0) * total + noise_var
-
-
-def noise_variance_for_channel(channel, power, noise_var, spacing,
-                               n_antennas) -> float:
-    """Per-user noise variance used by the multi-user precoders.
-
-    Single- and multi-path channels get the large-array closed forms; an
-    arbitrary channel is assumed to be driven through the channel-matched
-    modulator, whose surviving quantization error is negligible, leaving the
-    thermal term only.  With ``noise_var = 0`` the result is the
-    quantization part alone.
-    """
-    if isinstance(channel, SinglePathChannel):
-        quant = noise_variance_single(channel.gain, channel.angle, power,
-                                      0.0, spacing)
-    elif isinstance(channel, MultiPathChannel):
-        quant = noise_variance_multipath(channel.gains, channel.angles, power,
-                                         0.0, spacing, n_antennas)
-    elif isinstance(channel, ArbitraryChannel):
-        quant = 0.0
-    else:
-        raise TypeError(f"unknown channel type {type(channel)!r}")
-    return quant + float(noise_var)
 
 
 def effective_snr_mrt(gain, angle, power, noise_var, n_antennas,
@@ -299,6 +274,19 @@ def _worst_user(scene: MultiUserScene):
     return angles, worst, signal, sigma_w[worst]
 
 
+def beam_power_sum(rows: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Radiated power ``|row^T x|^2`` summed over the sample columns of the
+    ``(N, trials)`` ``samples``, one value per steering row of ``rows``."""
+    return (np.abs(rows @ samples) ** 2).sum(axis=-1)
+
+
+def spectrum_db(mean_power, n_antennas: int) -> np.ndarray:
+    """Mean radiated power in dB over N^2 (floored at 1e-300, never -inf),
+    so an unquantized conjugate beam reads 0 dB at its target angle."""
+    ref = float(n_antennas) ** 2
+    return 10.0 * np.log10(np.maximum(mean_power, 1e-300) / ref)
+
+
 def mean_beam_power(samples: np.ndarray, geometry: ArrayGeometry,
                     angles) -> np.ndarray:
     """Average radiated power ``E |a(angle)^T x|^2`` over sample columns.
@@ -308,18 +296,13 @@ def mean_beam_power(samples: np.ndarray, geometry: ArrayGeometry,
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim == 1:
         samples = samples[:, None]
-    a = steering_matrix(geometry, angles)
-    proj = a @ samples
-    return (np.abs(proj) ** 2).mean(axis=1)
+    return (beam_power_sum(steering_matrix(geometry, angles), samples)
+            / samples.shape[1])
 
 
 def angular_spectrum(samples: np.ndarray, geometry: ArrayGeometry,
                      angles) -> np.ndarray:
-    """Monte Carlo angular power spectrum in dB relative to the coherent peak.
-
-    Normalized by N^2 so an unquantized conjugate beam evaluates to 0 dB at
-    its target angle.
-    """
-    power = mean_beam_power(samples, geometry, angles)
-    ref = float(geometry.n_antennas) ** 2
-    return 10.0 * np.log10(np.maximum(power, 1e-300) / ref)
+    """Monte Carlo angular power spectrum in dB relative to the coherent peak
+    (see :func:`spectrum_db`)."""
+    return spectrum_db(mean_beam_power(samples, geometry, angles),
+                       geometry.n_antennas)

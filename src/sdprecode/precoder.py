@@ -47,6 +47,7 @@ __all__ = [
     "mrt_single",
     "mrt_angle_steered",
     "mrt_generalized",
+    "design_inputs",
     "zf_arrays",
     "zf_precode",
     "zf_precode_qam_block",
@@ -102,7 +103,8 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
     for the feedback rotation ``phi = channel.phase_step(d/lambda, angle)``,
     which nulls the shaped quantization error along the user's phase
     progression; the plain design is ``phi = 0``.  ``metadata`` carries ``phi``
-    (feed it to ``modulator.sd_angle_steered``) and ``amplitude``.  With
+    (feed it to ``modulator.sd_angle_steered``), ``amplitude`` and the
+    steering ``rows`` (``channel.steering_matrix``) it conjugates.  With
     ``work``, ``xbar`` is written into its ``"xbar"`` buffer (see
     :class:`modulator.Workspace`).
     """
@@ -122,7 +124,7 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
         xbar=xbar,
         gains=np.broadcast_to(coherent, xbar.shape[1:])[..., None],
         iq_bound=amp,
-        metadata={"phi": phi, "amplitude": amp},
+        metadata={"phi": phi, "amplitude": amp, "rows": rows},
     )
 
 
@@ -210,18 +212,23 @@ def mrt_generalized(gains, symbols,
     )
 
 
-def _scene_arrays(scene: MultiUserScene):
-    """``(tables, gains, noise_std)`` of an all-single-path scene: the
-    inputs of the multi-user array designs."""
-    angles, gains = scene.single_path_arrays()
-    geom = scene.geometry
-    var = analysis.noise_variance_single(gains, angles, scene.total_power,
-                                         scene.noise_variance,
-                                         geom.spacing_over_wavelength)
+def design_inputs(geometry: ArrayGeometry, angles, gains, power, noise_var):
+    """``(tables, gains, noise_std)``, the inputs every multi-user array
+    design takes, for batched single-path users; ``noise_std**2`` is
+    ``analysis.noise_variance_single`` and must be positive."""
+    var = analysis.noise_variance_single(gains, angles, power, noise_var,
+                                         geometry.spacing_over_wavelength)
     if np.any(var <= 0):
         raise ValueError("per-user noise variance must be positive "
                          "(zero thermal noise at broadside is degenerate)")
-    return steering_tables(geom, angles), gains, np.sqrt(var)
+    return steering_tables(geometry, angles), gains, np.sqrt(var)
+
+
+def _scene_arrays(scene: MultiUserScene):
+    """:func:`design_inputs` of an all-single-path scene."""
+    angles, gains = scene.single_path_arrays()
+    return design_inputs(scene.geometry, angles, gains, scene.total_power,
+                         scene.noise_variance)
 
 
 # Scenes whose steering rows the zero-forcing back-projection rebuilds at

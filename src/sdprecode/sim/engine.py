@@ -35,7 +35,6 @@ from ..channel import (
     phase_step,
     steering_matrix,
     steering_product,
-    steering_tables,
 )
 # For bench/tracing.py, which patches them here; run_solve calls iq_inf_norm.
 from ..precoder import (  # noqa: F401
@@ -43,7 +42,7 @@ from ..precoder import (  # noqa: F401
     minimax_coefficients,
     nullspace_basis,
 )
-from .config import SCHEMES, ConfigError, SimConfig
+from .config import SCHEMES, ConfigError, SimConfig, _int
 
 __all__ = ["RNG_BATCH", "SerCurve", "run_ser", "run_iq_scatter",
            "run_solve", "run_spectrum"]
@@ -149,7 +148,8 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use,
     Returns ``(x, gain, s_idx, alpha, y)``: the one-bit (or pass-through)
     antenna matrix (N, n_use), the coherent receive gain per trial, the sent
     symbol indices, and the noiseless receive ``alpha * y``.  On a single
-    path ``alpha`` is the channel phase per trial and ``y = a @ x``.  The
+    path ``alpha`` is the channel phase per trial and ``y = a @ x``, with
+    the row ``a`` that built ``xbar`` (``mrt_arrays``' ``rows``).  The
     i.i.d. channel is put in canonical order per trial
     (``channel.canonicalize_gains``), and ``y`` uses the sorted channel,
     which is equivalent to un-permuting the antenna vector; there ``alpha =
@@ -175,7 +175,7 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use,
                                   work=work)
         x = _modulate(cfg, out.xbar, rngs[_DITHER],
                       steer_phi=out.metadata["phi"], work=work)
-        y = steering_matrix(geom, theta) @ x
+        y = out.metadata["rows"] @ x
     return x, out.gains[:, 0], s_idx, alpha, y
 
 
@@ -224,13 +224,12 @@ def _multiuser_step(cfg, const, power, angles, alpha, symbols):
     batch of scenes: ``(B, K)`` angles and gains, ``(B, K, T)`` symbols.
 
     Returns ``(tables, out)`` with the ``(fine, coarse)`` steering tables
-    (``channel.steering_tables``) and ``out.xbar`` as ``(N, B, T)``.  Every
-    design takes the same ``(tables, gains, noise_std, symbols)``.
+    and ``out.xbar`` as ``(N, B, T)``.  Every design takes ``(tables, gains,
+    noise_std, symbols)``, the first three from ``precoder.design_inputs``.
     """
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
-    tables = steering_tables(geom, angles)
-    sigma_w = np.sqrt(analysis.noise_variance_single(
-        alpha, angles, power, 1.0, cfg.spacing_over_wavelength))
+    tables, alpha, sigma_w = precoder.design_inputs(geom, angles, alpha,
+                                                    power, 1.0)
     if cfg.scheme in ("slp_primal", "slp_dual"):
         solver = cfg.scheme[len("slp_"):]
         return tables, precoder.slp_arrays(
@@ -381,9 +380,15 @@ def _require_single_user(cfg: SimConfig, what: str):
 
 
 def _trial_count(value: Optional[int], default: int, name: str) -> int:
-    if value is not None and value < 1:
+    if value is None:
+        return default
+    try:
+        count = _int(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    return default if value is None else value
+    return count
 
 
 def run_iq_scatter(cfg: SimConfig, n_realizations: Optional[int] = None):
@@ -449,6 +454,8 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
     angles_deg = np.asarray(angles_deg, dtype=float)
     if angles_deg.ndim != 1:
         raise ValueError("angles_deg must be a 1-D grid of angles")
+    if not np.all(np.abs(angles_deg) <= 90.0):
+        raise ValueError("angles_deg must lie in [-90, 90] degrees")
     n_total = _trial_count(n_trials, cfg.spectrum_trials, "n_trials")
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
@@ -458,7 +465,6 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
     work = modulator.Workspace()
     for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SPECTRUM, 0, n_total):
         x = _single_user_tx(cfg, const, rngs, n_use, work)[0]
-        power_sum += (np.abs(grid @ x) ** 2).sum(axis=1)
-    ref = float(cfg.n_antennas) ** 2
-    db = 10.0 * np.log10(np.maximum(power_sum / n_total, 1e-300) / ref)
-    return angles_deg, db
+        power_sum += analysis.beam_power_sum(grid, x)
+    return angles_deg, analysis.spectrum_db(power_sum / n_total,
+                                            cfg.n_antennas)

@@ -221,10 +221,10 @@ def test_criterion_05_solver_cross_checks():
         s = const.points[rng.integers(0, 8, k)]
         h = np.stack([realize_channel(ch, scene.geometry)
                       for ch in scene.channels])
-        sigma = np.sqrt([analysis.noise_variance_for_channel(
-            ch, scene.total_power, scene.noise_variance,
-            scene.geometry.spacing_over_wavelength,
-            scene.geometry.n_antennas) for ch in scene.channels])
+        angles, gains = scene.single_path_arrays()
+        sigma = np.sqrt(analysis.noise_variance_single(
+            gains, angles, scene.total_power, scene.noise_variance,
+            scene.geometry.spacing_over_wavelength))
         return minimax_coefficients(h, s, sigma, 8)
 
     def lp_opt(c):

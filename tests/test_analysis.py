@@ -69,25 +69,6 @@ class TestMultipathVariance:
                                                      spacing, n)
         assert abs(mp - exact) / exact < 1.0 / n
 
-    def test_dispatch_by_channel_kind(self):
-        from sdprecode.channel import (ArbitraryChannel, MultiPathChannel,
-                                       SinglePathChannel)
-        kw = dict(power=2.0, noise_var=0.5, spacing=0.25, n_antennas=64)
-        single = analysis.noise_variance_for_channel(
-            SinglePathChannel(0.7, 0.4), **kw)
-        assert single == pytest.approx(
-            analysis.noise_variance_single(0.7, 0.4, 2.0, 0.5, 0.25))
-        multi = analysis.noise_variance_for_channel(
-            MultiPathChannel(gains=[0.7, 0.2j], angles=[0.4, -0.3]), **kw)
-        assert multi == pytest.approx(analysis.noise_variance_multipath(
-            [0.7, 0.2j], [0.4, -0.3], 2.0, 0.5, 0.25, 64))
-        arb = analysis.noise_variance_for_channel(
-            ArbitraryChannel(np.ones(64)), **kw)
-        assert arb == 0.5
-        quantization = analysis.noise_variance_for_channel(
-            SinglePathChannel(0.7, 0.4), **{**kw, "noise_var": 0.0})
-        assert quantization + 0.5 == single
-
     def test_bounded_by_path_count_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -2,7 +2,8 @@
 
 Every shipped ``ser`` config runs at reduced size, plus dithered and
 channel-matched variants; ``spectrum_mrt`` pins the bytes of the CLI's
-``spectrum.csv`` and ``scatter.csv``, and ``slp_multiuser`` pins the
+``spectrum.csv`` (one RNG block, and as shipped over three) and
+``scatter.csv``, and ``slp_multiuser`` pins the
 ``solve.json`` of both margin solvers, iteration and restart counts
 included; one nullspace block pins the peak-shaving solve itself, which
 the coarse error rates would not notice.  A fixed seed must keep producing
@@ -147,6 +148,10 @@ EXPECTED_DIGESTS = {
         "756a2463a8e7fbd92280b6fc0c986bd587ac30394681d6f8fa74184dc56f6220",
 }
 
+# spectrum_mrt as shipped: 2500 trials in three RNG blocks, the last short.
+SHIPPED_SPECTRUM_DIGEST = \
+    "b8d6e44797ef1c6832466ff0a79d8c44b18b0bfe5568ef68ff41e25086dc5b9f"
+
 
 def _raw(config, overrides):
     raw = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text()) \
@@ -181,6 +186,13 @@ def test_artifact_bytes_are_pinned(tmp_path, command):
     status, data = artifact(tmp_path, command, raw, f"{command}.csv")
     assert status == 0
     assert hashlib.sha256(data).hexdigest() == EXPECTED_DIGESTS[command]
+
+
+def test_shipped_spectrum_bytes_are_pinned(tmp_path):
+    status, data = artifact(tmp_path, "spectrum", _raw("spectrum_mrt", {}),
+                            "spectrum.csv")
+    assert status == 0
+    assert hashlib.sha256(data).hexdigest() == SHIPPED_SPECTRUM_DIGEST
 
 
 @pytest.mark.parametrize("scheme", sorted(EXPECTED_SOLVES))

@@ -27,6 +27,7 @@ from sdprecode.modulator import (
 )
 from sdprecode.optim import ApgParams, min_iq_inf_norm, spectral_norm_sq
 from sdprecode.precoder import (
+    design_inputs,
     iq_inf_norm,
     margin_rows,
     minimax_coefficients,
@@ -189,13 +190,11 @@ class TestZfPrecode:
         const = make_constellation("psk", 8)
         s = const.points[rng.integers(0, 8, 6)]
         out = zf_precode(scene, s)
-        angles = [ch.angle for ch in scene.channels]
-        gains = np.array([ch.gain for ch in scene.channels])
-        a = np.stack([steering_matrix(scene.geometry, t) for t in angles])
-        sigma = np.sqrt([analysis.noise_variance_for_channel(
-            ch, scene.total_power, scene.noise_variance,
-            scene.geometry.spacing_over_wavelength,
-            scene.geometry.n_antennas) for ch in scene.channels])
+        angles, gains = scene.single_path_arrays()
+        a = steering_matrix(scene.geometry, angles)
+        sigma = np.sqrt(analysis.noise_variance_single(
+            gains, angles, scene.total_power, scene.noise_variance,
+            scene.geometry.spacing_over_wavelength))
         rhs = sigma * np.conj(gains) / np.abs(gains) ** 2 * s
         oracle = np.linalg.pinv(a) @ rhs
         oracle /= iq_inf_norm(oracle)
@@ -218,6 +217,12 @@ class TestZfPrecode:
         scene = _random_scene(rng, 16, 2)
         with pytest.raises(ValueError):
             zf_precode(scene, np.zeros(2, dtype=complex))
+
+    def test_design_inputs_need_positive_noise_variance(self):
+        # Broadside with no thermal noise: no quantization term either.
+        with pytest.raises(ValueError, match="noise variance must be positive"):
+            design_inputs(ArrayGeometry(16, 0.5), np.array([0.0, 0.3]),
+                          np.ones(2, dtype=complex), 4.0, 0.0)
 
 
 def _zf_batch(n, k, t_len, b, seed=12):
@@ -446,10 +451,10 @@ class TestSlp:
         const = make_constellation("psk", 8)
         s = const.points[rng.integers(0, 8, 3)]
         h = _scene_rows(scene)
-        sigma = np.sqrt([analysis.noise_variance_for_channel(
-            ch, scene.total_power, scene.noise_variance,
-            scene.geometry.spacing_over_wavelength,
-            scene.geometry.n_antennas) for ch in scene.channels])
+        angles, gains = scene.single_path_arrays()
+        sigma = np.sqrt(analysis.noise_variance_single(
+            gains, angles, scene.total_power, scene.noise_variance,
+            scene.geometry.spacing_over_wavelength))
         coeffs = minimax_coefficients(h, s, sigma, 8)
         assert coeffs.shape == (32, 6)
         xbar = rng.normal(size=16) + 1j * rng.normal(size=16)

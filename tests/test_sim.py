@@ -398,7 +398,7 @@ class TestTrialCounts:
         for a, b in zip(default, explicit):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("count", [0, -3, True, 2.5])
     def test_counts_below_one_are_rejected(self, run, name, count):
         with pytest.raises(ValueError, match=name):
             run(_cfg(), **{name: count})
@@ -422,6 +422,11 @@ class TestSpectrum:
     @pytest.mark.parametrize("grid", [30.0, [[-10.0, 0.0], [10.0, 20.0]]])
     def test_grid_must_be_one_dimensional(self, grid):
         with pytest.raises(ValueError, match="angles_deg"):
+            run_spectrum(_cfg(), angles_deg=grid, n_trials=8)
+
+    @pytest.mark.parametrize("grid", [[95.0], [-90.5, 0.0], [0.0, np.nan]])
+    def test_grid_must_lie_within_ninety_degrees(self, grid):
+        with pytest.raises(ValueError, match="angles_deg must lie in"):
             run_spectrum(_cfg(), angles_deg=grid, n_trials=8)
 
 
