@@ -62,15 +62,18 @@ class SepBoundParams(NamedTuple):
     chi: float
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def qfunc(t):
-    """Gaussian tail probability Q(t).
+    """Gaussian tail probability ``Q(t) = erfc(t/sqrt(2))/2``.
 
-    SciPy is imported on the first call, so runs without a closed-form
-    error bound never load it.
+    The complementary error function is the standard library's
+    ``math.erfc``, applied element-wise; an array gives a float array and a
+    scalar a numpy float.
     """
-    from scipy.special import erfc
-
-    return 0.5 * erfc(np.asarray(t, dtype=float) / math.sqrt(2.0))
+    z = np.asarray(t, dtype=float) / math.sqrt(2.0)
+    return 0.5 * np.asarray(_erfc(z), dtype=float)[()]
 
 
 def _half_step_sin(spacing, angles):

@@ -171,7 +171,14 @@ def canonicalize_gains(coefficients) -> CanonicalGains:
     # Sorted as antenna-last rows, so the transpose of a trial-major draw
     # sorts one contiguous row per trial and keeps the draw's layout.
     rows = np.moveaxis(h, 0, -1)
-    perm = np.argsort(np.abs(rows), axis=-1, kind="stable")
+    mags = np.abs(rows)
+    perm = np.argsort(mags, axis=-1)
+    # The default sort is fast but not stable.  Rows without a tie or a NaN
+    # have one sorted order; the rest take the stable one.
+    s = np.take_along_axis(mags, perm, -1)
+    tied = ~np.all(s[..., 1:] > s[..., :-1], axis=-1)
+    if tied.any():
+        perm[tied] = np.argsort(mags[tied], axis=-1, kind="stable")
     return CanonicalGains(
         _readonly(np.moveaxis(np.take_along_axis(rows, perm, -1), -1, 0)),
         _readonly(np.moveaxis(perm, -1, 0)))

@@ -91,11 +91,13 @@ def _scatter(cfg: SimConfig, args):
 
 
 # The results of a solve, in print order, with their print formats; the
-# dual solver alone reports dual_value and duality_gap.
+# dual solver alone reports dual_value and duality_gap, the gap of its
+# regularized problem.  lp_gap is the objective's certified distance from
+# the program's optimum.
 _SOLVE_FIELDS = (("solver", ""), ("iterations", ""), ("converged", ""),
                  ("restarts", ""), ("objective", ".6e"), ("dual_value", ".6e"),
-                 ("duality_gap", ".3e"), ("worst_margin", ".6e"),
-                 ("peak_rail", ".6f"))
+                 ("duality_gap", ".3e"), ("lp_bound", ".6e"), ("lp_gap", ".3e"),
+                 ("worst_margin", ".6e"), ("peak_rail", ".6f"))
 
 
 def _solve(cfg: SimConfig, args):

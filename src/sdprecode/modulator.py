@@ -97,6 +97,8 @@ class DitherSpec:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("dither level must be >= 0")
+        if not math.isfinite(2.0 * self.level):
+            raise ValueError("2 * dither level must be finite")
 
 
 @dataclass(frozen=True)
@@ -318,8 +320,12 @@ def sd_dithered(xbar, dither: DitherSpec,
     if work is None:
         work = Workspace()
     rng = np.random.default_rng(dither.seed)
-    u = rng.uniform(-dither.level, dither.level,
-                    size=xbar.shape[1:] + (xbar.shape[0], 2))
+    # Generator.uniform(-level, level) bit for bit: low + (high - low) * u,
+    # drawn into the workspace.
+    u = rng.random(out=work.array("uniform",
+                                  xbar.shape[1:] + (xbar.shape[0], 2), float))
+    u *= dither.level - (-dither.level)
+    u += -dither.level
     # Antenna-major, like the recursion reads it.
     d = work.array("dither", xbar.shape)
     np.copyto(d, np.moveaxis(u.view(complex)[..., 0], -1, 0))

@@ -123,6 +123,8 @@ class ApgResult:
     iterations: np.ndarray
     converged: np.ndarray
     restarts: np.ndarray
+    # Certified lower bound on the minimax optimum (primal_apg only).
+    lp_bound: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,7 @@ class DualApgResult:
     iterations: np.ndarray
     converged: np.ndarray
     restarts: np.ndarray
+    lp_bound: np.ndarray       # certified lower bound on the minimax optimum
 
 
 def stack_complex(z: np.ndarray) -> np.ndarray:
@@ -158,6 +161,14 @@ def _colspace(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 def minimax_value(problem: MinimaxProblem, x: np.ndarray) -> np.ndarray:
     """Exact objective ``max_i c_i^T x``."""
     return problem.rmatvec(np.asarray(x, dtype=float)).max(axis=-1)
+
+
+def _lp_bound(y):
+    """``-||y||_1`` over the last axis.  With ``y = C w`` for weights ``w``
+    on the simplex, every box point has
+    ``max_i c_i^T x >= w^T C^T x >= -||y||_1``, so this bounds the minimax
+    optimum from below."""
+    return -np.abs(y).sum(axis=-1)
 
 
 def _log_sum_exp(z, smoothing):
@@ -288,7 +299,8 @@ def primal_apg(problem: MinimaxProblem, params: ApgParams,
     or carrying the batch of a shared problem) and stops per instance once
     the iterate displacement drops below ``params.tol`` in the 2-norm, or
     flags non-convergence at the iteration cap.  Momentum restarts whenever
-    the smoothed objective rises.
+    the smoothed objective rises.  ``lp_bound`` is :func:`_lp_bound` at the
+    softmax weights of ``C^T x / mu`` at the final iterate.
     """
     mu = params.smoothing
     n = problem.shape[0]
@@ -302,9 +314,12 @@ def primal_apg(problem: MinimaxProblem, params: ApgParams,
         lambda z: _log_sum_exp(z, mu)[0],
         lambda p, z: p.matvec(_log_sum_exp(z, mu)[1]),
         lambda v: np.clip(v, -1.0, 1.0))
-    return ApgResult(x=x, value=minimax_value(problem, x),
+    z = problem.rmatvec(x)
+    weights = _log_sum_exp(z, mu)[1]
+    return ApgResult(x=x, value=z.max(axis=-1),
                      iterations=iterations, converged=converged,
-                     restarts=restarts)
+                     restarts=restarts,
+                     lp_bound=_lp_bound(problem.matvec(weights)))
 
 
 def huber(y, tau) -> np.ndarray:
@@ -351,7 +366,9 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
     simplex and recovers the box point
     ``x = clip(-C lam / tau)``, which is the unique minimizer of the strongly
     convex inner problem.  ``gap = primal - dual`` at the final iterate is
-    nonnegative up to roundoff and shrinks to zero at optimality.
+    nonnegative up to roundoff and shrinks to zero at optimality; it is the
+    gap of the regularized problem.  ``lp_bound = -||C lam||_1`` bounds the
+    unregularized optimum from below.
     """
     tau = params.regularization
     m = problem.shape[1]
@@ -372,7 +389,7 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
     return DualApgResult(multipliers=lam, x=x, dual_value=g_val,
                          primal_value=primal, gap=primal - g_val,
                          iterations=iterations, converged=converged,
-                         restarts=restarts)
+                         restarts=restarts, lp_bound=_lp_bound(y))
 
 
 def _peak_exp(x, smoothing, buf):

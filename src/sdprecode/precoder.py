@@ -489,6 +489,8 @@ def slp_arrays(tables, gains, noise_std, symbols, order: int,
     margin rows (the channel rows are dropped first) by the smoothed primal
     APG or by the simplex-dual APG with closed-form primal recovery, and
     reads ``margins`` and ``gains`` from its columns at the solution.
+    ``metadata["lp_bound"]`` is the solver's certified lower bound on the
+    program's optimum and ``lp_gap`` the objective's distance above it.
     Capped instances are flagged in ``metadata["converged"]``, not raised.
     """
     if order < 2:
@@ -520,6 +522,8 @@ def slp_arrays(tables, gains, noise_std, symbols, order: int,
 
     first, second = np.split(problem.rmatvec(res.x), 2, axis=-1)
     meta.update(
+        lp_bound=res.lp_bound,
+        lp_gap=meta["objective"] - res.lp_bound,
         solver=solver,
         iterations=res.iterations,
         converged=res.converged,

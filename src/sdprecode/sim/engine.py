@@ -17,7 +17,6 @@ total transmit power ``P = 10^(snr_db/10)``; received samples are
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Optional
@@ -347,6 +346,9 @@ def run_ser(cfg: SimConfig, n_workers: int = 1) -> SerCurve:
     cfg.validate()
     points = range(len(cfg.snr_db))
     if n_workers > 1 and len(cfg.snr_db) > 1:
+        # Imported here: a single-worker run never pays for the pool module.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(n_workers,
                                                  len(cfg.snr_db))) as pool:
             results = list(pool.map(partial(_run_point, cfg), points))

@@ -168,6 +168,42 @@ class TestEffectiveSnr:
             analysis.effective_snr_steered(1.0, 1.0, 1.0, 0.0, 8)
 
 
+class TestQfunc:
+    """``qfunc`` against SciPy's ``erfc``, which only the tests import."""
+
+    @staticmethod
+    def _reference(t):
+        from scipy.special import erfc
+        return 0.5 * erfc(t / math.sqrt(2.0))
+
+    def test_matches_scipy_on_the_bulk(self):
+        t = np.linspace(0.0, 8.0, 20001)
+        ref = self._reference(t)
+        assert np.max(np.abs(analysis.qfunc(t) - ref) / ref) <= 1e-14
+
+    def test_matches_scipy_deep_in_the_tail(self):
+        t = np.linspace(0.0, 40.0, 40001)
+        ref = self._reference(t)
+        keep = ref >= 1e-300
+        assert t[keep].max() > 37.0
+        rel = np.abs(analysis.qfunc(t[keep]) - ref[keep]) / ref[keep]
+        assert np.max(rel) <= 1e-13
+
+    def test_known_values(self):
+        assert analysis.qfunc(0.0) == 0.5
+        assert analysis.qfunc(math.inf) == 0.0
+        assert analysis.qfunc(-math.inf) == 1.0
+
+    def test_return_types(self):
+        scalar = analysis.qfunc(1.0)
+        assert type(scalar) is np.float64
+        assert type(analysis.qfunc(np.array(1.0))) is np.float64
+        arr = analysis.qfunc([[0.0, 1.0, 2.0]])
+        assert isinstance(arr, np.ndarray)
+        assert (arr.dtype, arr.shape) == (np.float64, (1, 3))
+        assert arr[0, 1] == scalar
+
+
 class TestSepBound:
     def test_zero_snr_clamps_to_one(self):
         c = make_constellation("psk", 8)

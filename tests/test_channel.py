@@ -236,6 +236,25 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize_gains(np.array([1.0, 0.0]))
 
+    def test_ties_and_nans_sort_stably(self):
+        # Exact magnitude ties (unit phases keep |h| exact) and NaNs, mixed
+        # with tie-free columns: the permutation is the stable sort's.
+        rng = np.random.default_rng(4)
+        n, b = 300, 12
+        h = rng.integers(1, 4, size=(n, b)) \
+            * rng.choice([1.0, -1.0, 1j, -1j], size=(n, b))
+        h[:, ::3] = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        h[[5, 17, 250], 0] = np.nan
+        h[[7, 90], 3] = complex(np.nan, 1.0)
+        can = canonicalize_gains(h)
+        stable = np.argsort(np.abs(h), axis=0, kind="stable")
+        np.testing.assert_array_equal(can.permutation, stable)
+        np.testing.assert_array_equal(
+            can.coefficients, np.take_along_axis(h, stable, 0))
+        for j in (0, 1, 2):
+            np.testing.assert_array_equal(
+                canonicalize_gains(h[:, j]).permutation, stable[:, j])
+
 
 class TestSceneValidation:
     def test_user_count_bounds(self):

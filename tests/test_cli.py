@@ -331,9 +331,10 @@ def test_no_partial_artifacts_on_config_error(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-# Runs one 2-trial `ser` command in a fresh interpreter and prints whether
-# SciPy got loaded, then the first row's theory_ser column.
-_SCIPY_PROBE = """
+# Runs one 2-trial single-worker `ser` command in a fresh interpreter and
+# prints its exit code, whether SciPy or the process-pool module got loaded,
+# then the first row's theory_ser column.
+_IMPORT_PROBE = """
 import sys
 from pathlib import Path
 import yaml
@@ -345,24 +346,25 @@ doc["trials"] = 2
 code = main(["ser", "--config", str(out / "cfg.yaml"), "--out",
              str(out / "run"), "--threads", "1"])
 row = (out / "run" / "ser.csv").read_text().splitlines()[1].split(",")
-print(code, "scipy" in sys.modules, row[3])
+print(code, "scipy" in sys.modules,
+      "concurrent.futures.process" in sys.modules, row[3])
 """
 
 
-@pytest.mark.parametrize("config,loads_scipy,theory", [
-    ("zf_multiuser", False, "nan"),
-    ("mrt_broadside", True, "0.3318372897"),
+@pytest.mark.parametrize("config,theory", [
+    ("zf_multiuser", "nan"),
+    ("mrt_broadside", "0.3318372897"),
 ])
-def test_scipy_loads_only_for_closed_form_ser(tmp_path, config, loads_scipy,
-                                               theory):
-    # Only the closed-form error bound needs SciPy, so a multi-user run
-    # never pays its import; mrt_broadside's bound still gets it.
+def test_single_worker_ser_loads_neither_scipy_nor_the_pool(tmp_path, config,
+                                                           theory):
+    # The closed-form bound uses the standard library's erfc, so no run
+    # loads SciPy, and a single-worker run never imports the process pool.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(ROOT), config,
+        [sys.executable, "-c", _IMPORT_PROBE, str(ROOT), config,
          str(tmp_path)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(loads_scipy), theory]
+    assert proc.stdout.split() == ["0", "False", "False", theory]

@@ -124,6 +124,8 @@ EXPECTED_SOLVES = {
         "dual_value": -44.251497278320585,
         "duality_gap": 0.0102415130060578,
         "iterations": 631,
+        "lp_bound": -46.67980888780957,
+        "lp_gap": 0.14576243296595237,
         "objective": -46.534046454843335,
         "peak_rail": 1.0,
         "restarts": 3,
@@ -133,6 +135,8 @@ EXPECTED_SOLVES = {
     "slp_primal": {
         "converged": False,
         "iterations": 2000,
+        "lp_bound": -49.772084850997004,
+        "lp_gap": 40.75897237012979,
         "objective": -9.013112480867257,
         "peak_rail": 0.3846607119653676,
         "restarts": 0,

@@ -110,6 +110,37 @@ class TestDithered:
         with pytest.raises(ValueError):
             DitherSpec(level=-0.1)
 
+    def test_overflowing_level_rejected(self):
+        # Generator.uniform refuses a range 2 * level that overflows.
+        with pytest.raises(ValueError):
+            DitherSpec(level=1e308)
+        with pytest.raises(ValueError):
+            DitherSpec(level=math.nan)
+
+    @pytest.mark.parametrize("level", [0.0, 1e-300, 0.05, 0.3, 1.0 / 3.0,
+                                       0.7, 2.5])
+    def test_dither_is_generator_uniform_bit_for_bit(self, monkeypatch,
+                                                      level):
+        # The workspace draw scales and shifts Generator.random the way
+        # Generator.uniform does, so the dither keeps uniform's bits.
+        seen = []
+        run = modulator._run
+
+        def spy(xbar, feedback, dither=None, **kwargs):
+            seen.append(dither.copy())
+            return run(xbar, feedback, dither=dither, **kwargs)
+
+        monkeypatch.setattr(modulator, "_run", spy)
+        work = Workspace()
+        for shape in [(16,), (24, 5), (8, 3, 2)]:
+            for seed in (0, 17, 2 ** 40 + 3):
+                sd_dithered(np.zeros(shape, dtype=complex),
+                            DitherSpec(level, seed=seed), work)
+                u = np.random.default_rng(seed).uniform(
+                    -level, level, size=shape[1:] + (shape[0], 2))
+                expected = np.moveaxis(u.view(complex)[..., 0], -1, 0)
+                assert seen[-1].tobytes() == expected.tobytes()
+
 
 class TestAngleSteered:
     def test_zero_rotation_is_bitwise_basic(self):

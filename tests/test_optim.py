@@ -283,6 +283,28 @@ def test_compaction_does_not_couple_instances(solve, params):
         np.testing.assert_allclose(res.x[i], single.x, atol=1e-12)
 
 
+@pytest.mark.parametrize("solve, params", [
+    (primal_apg, ApgParams(smoothing=0.05, tol=1e-8, max_iters=300)),
+    (primal_apg, ApgParams(smoothing=0.005, tol=1e-10, max_iters=5000)),
+    (dual_apg, ApgParams(regularization=0.01, tol=1e-8, max_iters=300)),
+    (dual_apg, ApgParams(regularization=1e-4, tol=1e-12, max_iters=20000)),
+])
+def test_lp_bound_brackets_the_lp_optimum(solve, params):
+    # Coarse and fine solves alike: the LP optimum lies between the
+    # certified bound and the objective at the returned point.
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=(6, 10, 8))
+    prob = MinimaxProblem(coefficients=c)
+    res = solve(prob, params)
+    value = minimax_value(prob, res.x)
+    assert res.lp_bound.shape == (6,)
+    for i in range(6):
+        f_lp, _ = lp_box_minimax(c[i])
+        tol = 1e-9 * (1.0 + abs(f_lp))
+        assert res.lp_bound[i] <= f_lp + tol
+        assert f_lp <= value[i] + tol
+
+
 class TestDualApg:
     def test_single_column_forces_unit_multiplier(self):
         c = np.array([[0.7], [-0.3]])
