@@ -90,10 +90,9 @@ def _scatter(cfg: SimConfig, args):
             EXIT_OK)
 
 
-# The results of a solve, in print order, with their print formats; the
-# dual solver alone reports dual_value and duality_gap, the gap of its
-# regularized problem.  lp_gap is the objective's certified distance from
-# the program's optimum.
+# The results of a solve, in print order, with their print formats;
+# duality_gap is the gap of the regularized problem, lp_gap the objective's
+# certified distance from the program's optimum.
 _SOLVE_FIELDS = (("solver", ""), ("iterations", ""), ("converged", ""),
                  ("restarts", ""), ("objective", ".6e"), ("dual_value", ".6e"),
                  ("duality_gap", ".3e"), ("lp_bound", ".6e"), ("lp_gap", ".3e"),
@@ -103,9 +102,8 @@ _SOLVE_FIELDS = (("solver", ""), ("iterations", ""), ("converged", ""),
 def _solve(cfg: SimConfig, args):
     doc = engine.run_solve(cfg)
     for key, fmt in _SOLVE_FIELDS:
-        if key in doc:
-            label = key.replace("_", " ") + ":"
-            print(f"{label:<12} {doc[key]:{fmt}}")
+        label = key.replace("_", " ") + ":"
+        print(f"{label:<12} {doc[key]:{fmt}}")
     converged = doc["converged"]
     return ({"solve.json": json.dumps(doc, indent=2, sort_keys=True) + "\n"},
             {"solver_nonconverged": 0 if converged else 1},

@@ -30,6 +30,7 @@ import numpy as np
 __all__ = [
     "MinimaxProblem",
     "ApgParams",
+    "NULLSPACE_PARAMS",
     "ApgResult",
     "DualApgResult",
     "stack_complex",
@@ -102,18 +103,25 @@ class ApgParams:
     exact squared spectral norm.  Momentum is reset whenever the objective
     worsens (adaptive restart).  :func:`min_iq_inf_norm` reads
     ``smoothing`` and ``tol`` as fractions of the peak rail of its input.
+    The defaults are the settings of the margin design's dual run
+    (``precoder.slp_arrays``); :data:`NULLSPACE_PARAMS` are those of the
+    peak-rail minimizer.
     """
 
     smoothing: float = 0.05
     regularization: float = 0.005
-    tol: float = 1e-5
-    max_iters: int = 2000
+    tol: float = 1e-7
+    max_iters: int = 3000
 
     def __post_init__(self):
         if self.smoothing <= 0 or self.regularization <= 0:
             raise ValueError("smoothing and regularization must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+
+
+# The peak-rail minimizer's settings when a caller gives none.
+NULLSPACE_PARAMS = ApgParams(smoothing=2e-3, tol=1e-5, max_iters=300)
 
 
 @dataclass(frozen=True)
@@ -432,10 +440,11 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     gradient projected onto the nullspace of ``steering`` (the projector
     comes from one thin QR), so every iterate stays feasible.  A short
     smoothing continuation warm-starts each stage, so the final temperature
-    controls accuracy.  ``params.smoothing`` (the final temperature) and
-    ``params.tol`` are fractions of the largest peak rail of ``r``, so
-    scaling ``r`` scales the solution.  ``r`` itself is always a fallback:
-    the returned objective never exceeds its peak rail.  Returns ``v`` and
+    controls accuracy.  ``params`` defaults to :data:`NULLSPACE_PARAMS`;
+    ``params.smoothing`` (the final temperature) and ``params.tol`` are
+    fractions of the largest peak rail of ``r``, so scaling ``r`` scales
+    the solution.  ``r`` itself is always a fallback: the returned
+    objective never exceeds its peak rail.  Returns ``v`` and
     an :class:`ApgResult` whose ``x`` is the stacked ``v``, with
     ``iterations`` and ``restarts`` summed over the stages and
     ``converged`` from the last one.
@@ -462,7 +471,7 @@ def min_iq_inf_norm(r: np.ndarray, steering: np.ndarray,
     baseline = np.abs(rr).max(axis=-1)
     scale = float(np.max(baseline)) or 1.0
     if params is None:
-        params = ApgParams(smoothing=1e-3, tol=1e-6, max_iters=1500)
+        params = NULLSPACE_PARAMS
     # Scale the settings before building the stages: built on the relative
     # values, the stage count differs by roundoff from the pinned outputs'.
     smoothing, tol = params.smoothing * scale, params.tol * scale

@@ -479,24 +479,23 @@ def margin_rows(h_rows: np.ndarray, symbols: np.ndarray,
 
 
 def slp_arrays(tables, gains, noise_std, symbols, order: int,
-               solver: str = "primal",
                params: Optional[optim.ApgParams] = None) -> PrecodeOutput:
     """Per-symbol-time design maximizing the worst user's decision margin.
 
     Inputs as in :func:`zf_arrays`; each symbol time is its own program, so
     ``gains`` ``(..., T, K)`` and the metadata end in a time axis and ``xbar``
     is ``(N, ..., T)``.  Solves the box-constrained minimax program on the
-    margin rows (the channel rows are dropped first) by the smoothed primal
-    APG or by the simplex-dual APG with closed-form primal recovery, and
-    reads ``margins`` and ``gains`` from its columns at the solution.
-    ``metadata["lp_bound"]`` is the solver's certified lower bound on the
-    program's optimum and ``lp_gap`` the objective's distance above it.
-    Capped instances are flagged in ``metadata["converged"]``, not raised.
+    margin rows (the channel rows are dropped first) by the simplex-dual APG
+    (:func:`optim.dual_apg`, at ``params`` or the ``ApgParams`` defaults)
+    with closed-form primal recovery, and reads ``margins`` and ``gains``
+    from its columns at the solution.  ``metadata["duality_gap"]`` is the
+    gap of the regularized problem, ``lp_bound`` the solver's certified
+    lower bound on the program's optimum and ``lp_gap`` the objective's
+    distance above it.  Capped instances are flagged in
+    ``metadata["converged"]``, not raised.
     """
     if order < 2:
         raise ValueError("PSK order must be >= 2")
-    if solver not in ("primal", "dual"):
-        raise ValueError("solver must be 'primal' or 'dual'")
     rows = steering_rows(tables)
     np.multiply(np.asarray(gains)[..., None], rows, out=rows)
     sigma = np.asarray(noise_std, dtype=float)[..., None, :]
@@ -504,27 +503,16 @@ def slp_arrays(tables, gains, noise_std, symbols, order: int,
                           np.swapaxes(symbols, -1, -2), sigma, order)
     del rows
 
-    if solver == "primal":
-        if params is None:
-            params = optim.ApgParams(smoothing=0.05, tol=1e-5, max_iters=2000)
-        res = optim.primal_apg(problem, params)
-        meta = {"objective": res.value}
-    else:
-        if params is None:
-            params = optim.ApgParams(regularization=0.005, tol=1e-7,
-                                     max_iters=3000)
-        res = optim.dual_apg(problem, params)
-        meta = {
-            "objective": optim.minimax_value(problem, res.x),
-            "dual_value": res.dual_value,
-            "duality_gap": res.gap,
-        }
-
+    res = optim.dual_apg(problem, params or optim.ApgParams())
+    objective = optim.minimax_value(problem, res.x)
     first, second = np.split(problem.rmatvec(res.x), 2, axis=-1)
-    meta.update(
+    meta = dict(
+        objective=objective,
+        dual_value=res.dual_value,
+        duality_gap=res.gap,
         lp_bound=res.lp_bound,
-        lp_gap=meta["objective"] - res.lp_bound,
-        solver=solver,
+        lp_gap=objective - res.lp_bound,
+        solver="dual",
         iterations=res.iterations,
         converged=res.converged,
         restarts=res.restarts,
@@ -538,14 +526,13 @@ def slp_arrays(tables, gains, noise_std, symbols, order: int,
     )
 
 
-def slp_psk(scene: MultiUserScene, symbols, order: int, solver: str = "primal",
+def slp_psk(scene: MultiUserScene, symbols, order: int,
             params: Optional[optim.ApgParams] = None) -> PrecodeOutput:
     """Worst-user margin design for one scene's symbols (see :func:`slp_arrays`)."""
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.shape != (scene.n_users,):
         raise ValueError("need one symbol per user")
-    out = slp_arrays(*_scene_arrays(scene), symbols[:, None], order, solver,
-                     params)
+    out = slp_arrays(*_scene_arrays(scene), symbols[:, None], order, params)
     meta = {k: v[0] if np.ndim(v) else v for k, v in out.metadata.items()}
     return replace(out, xbar=out.xbar[:, 0], gains=out.gains[0],
                    metadata=_scalars(meta))

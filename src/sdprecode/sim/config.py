@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Optional, Tuple
 
 from ..channel import make_constellation
-from ..optim import ApgParams
+from ..optim import NULLSPACE_PARAMS, ApgParams
 
 __all__ = ["ConfigError", "ChannelSpec", "SolverSpec", "SimConfig"]
 
@@ -38,7 +38,6 @@ SCHEMES = {
     "zf": ("multi_user", _PLAIN, "psk", False),
     "zf_qam": ("multi_user", _PLAIN, "qam", True),
     "nullspace_zf": ("multi_user", _PLAIN, "qam", True),
-    "slp_primal": ("multi_user", _PLAIN, "psk", False),
     "slp_dual": ("multi_user", _PLAIN, "psk", False),
 }
 MODULATORS = frozenset().union(*(mods for _, mods, _, _ in SCHEMES.values()))
@@ -109,7 +108,7 @@ def _plain(value):
 
 def _no_leftovers(d: dict, path: str):
     if d:
-        _err(path, f"unknown keys {sorted(d)}")
+        _err(", ".join(f"{path}.{key}" for key in sorted(d)), "unknown key")
 
 
 def _require_finite(d: dict, path: str):
@@ -224,16 +223,14 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Knobs for the margin-maximizing and peak-shaving solvers."""
+    """Knobs for the margin-maximizing and peak-shaving solvers; each
+    default is the library's (``ApgParams()`` and ``NULLSPACE_PARAMS``)."""
 
-    smoothing: float = 0.05
-    regularization: float = 0.005
-    tol: float = 1e-5
-    dual_tol: float = 1e-7
-    max_iters: int = 2000
-    dual_max_iters: int = 3000
-    nullspace_smoothing_rel: float = 2e-3
-    nullspace_max_iters: int = 300
+    regularization: float = ApgParams.regularization
+    dual_tol: float = ApgParams.tol
+    dual_max_iters: int = ApgParams.max_iters
+    nullspace_smoothing_rel: float = NULLSPACE_PARAMS.smoothing
+    nullspace_max_iters: int = NULLSPACE_PARAMS.max_iters
 
     @staticmethod
     def from_dict(d: dict, path: str = "solver") -> "SolverSpec":
@@ -245,28 +242,25 @@ class SolverSpec:
         return SolverSpec(**kw)
 
     def apg_params(self, solver: str) -> ApgParams:
-        """Solver settings for a ``primal``, ``dual`` or ``nullspace`` run.
+        """Solver settings for a ``dual`` or ``nullspace`` run.
 
         The nullspace smoothing and tolerance are fractions of the
         zero-forcing peak of the block being shaved.
         """
-        if solver == "primal":
-            return ApgParams(smoothing=self.smoothing, tol=self.tol,
-                             max_iters=self.max_iters)
         if solver == "dual":
             return ApgParams(regularization=self.regularization,
                              tol=self.dual_tol, max_iters=self.dual_max_iters)
         if solver == "nullspace":
-            return ApgParams(smoothing=self.nullspace_smoothing_rel, tol=1e-5,
-                             max_iters=self.nullspace_max_iters)
+            return replace(NULLSPACE_PARAMS,
+                           smoothing=self.nullspace_smoothing_rel,
+                           max_iters=self.nullspace_max_iters)
         raise ValueError(f"unknown solver {solver!r}")
 
     def validate(self, path: str = "solver"):
-        for name in ("smoothing", "regularization", "tol", "dual_tol",
-                     "nullspace_smoothing_rel"):
+        for name in ("regularization", "dual_tol", "nullspace_smoothing_rel"):
             if getattr(self, name) <= 0:
                 _err(f"{path}.{name}", "must be positive")
-        for name in ("max_iters", "dual_max_iters", "nullspace_max_iters"):
+        for name in ("dual_max_iters", "nullspace_max_iters"):
             if getattr(self, name) < 1:
                 _err(f"{path}.{name}", "must be >= 1")
 

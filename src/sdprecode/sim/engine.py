@@ -229,11 +229,10 @@ def _multiuser_step(cfg, const, power, angles, alpha, symbols):
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
     tables, alpha, sigma_w = precoder.design_inputs(geom, angles, alpha,
                                                     power, 1.0)
-    if cfg.scheme in ("slp_primal", "slp_dual"):
-        solver = cfg.scheme[len("slp_"):]
+    if cfg.scheme == "slp_dual":
         return tables, precoder.slp_arrays(
-            tables, alpha, sigma_w, symbols, const.order, solver,
-            cfg.solver.apg_params(solver))
+            tables, alpha, sigma_w, symbols, const.order,
+            cfg.solver.apg_params("dual"))
     if cfg.scheme == "nullspace_zf":
         return tables, precoder.nullspace_zf_arrays(
             tables, alpha, sigma_w, symbols,
@@ -425,8 +424,8 @@ def run_solve(cfg: SimConfig) -> dict:
     noise-normalized decision margin) and ``peak_rail``.
     """
     cfg.validate()
-    if cfg.scheme not in ("slp_primal", "slp_dual"):
-        raise ConfigError("config.scheme: solve needs slp_primal or slp_dual")
+    if cfg.scheme != "slp_dual":
+        raise ConfigError("config.scheme: solve needs slp_dual")
     rngs = _streams(cfg.seed, _PURPOSE_SOLVE, 0, 0)
     angles, alpha = _draw_mu_channel(cfg, rngs[_CH], 1)
     const = make_constellation(cfg.constellation_kind, cfg.constellation_order)
@@ -452,7 +451,11 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
     _require_single_user(cfg, "the spectrum run")
     if angles_deg is None:
         lo, hi, step = cfg.spectrum_grid_deg
-        angles_deg = np.arange(lo, hi + step / 2.0, step)
+        # The whole steps from lo that stay within hi; the clip takes off
+        # the roundoff that can carry the last one past it.
+        n_steps = math.floor((hi - lo) / step + 1e-9)
+        angles_deg = np.minimum(
+            np.arange(lo, lo + (n_steps + 0.5) * step, step), hi)
     angles_deg = np.asarray(angles_deg, dtype=float)
     if angles_deg.ndim != 1:
         raise ValueError("angles_deg must be a 1-D grid of angles")

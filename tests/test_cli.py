@@ -113,7 +113,7 @@ def test_incompatible_pair_exits_2(tmp_path, capsys):
     ({"trials": True}, "trials"),
     ({"dither_level": True}, "dither_level"),
     ({"dither_level": False}, "dither_level"),
-    ({"solver": {"tol": True}}, "solver.tol"),
+    ({"solver": {"dual_tol": True}}, "solver.dual_tol"),
     ({"snr_db": [True, 2]}, "snr_db"),
     ({"channel": {"model": "single_path", "angle_deg": True}},
      "channel.angle_deg"),
@@ -124,6 +124,11 @@ def test_incompatible_pair_exits_2(tmp_path, capsys):
      "channel.angle_deg"),
     ({"snr_db": ["1", "2"]}, "snr_db"),
     ({"trials": "10"}, "trials"),
+    ({"scheme": "slp_primal",
+      "channel": {"model": "multi_user", "n_users": 2}}, "scheme"),
+    ({"solver": {"smoothing": 0.05}}, "solver.smoothing"),
+    ({"solver": {"tol": 1e-5}}, "solver.tol"),
+    ({"solver": {"max_iters": 2000}}, "solver.max_iters"),
 ])
 def test_mistyped_value_exits_2_naming_the_key(tmp_path, capsys, patch, key):
     cfg = _write_cfg(tmp_path, {**MINIMAL, **patch})
@@ -168,7 +173,7 @@ def _with(doc, key, value):
     (ZF_USERS, "channel.pathloss_range", [20.0, math.inf]),
     ({}, "snr_db", [0.0, -math.inf]),
     ({}, "spectrum.grid_deg", [-90.0, 90.0, math.nan]),
-    ({}, "solver.tol", math.nan),
+    ({}, "solver.dual_tol", math.nan),
 ])
 def test_non_finite_value_exits_2_naming_the_key(tmp_path, capsys, base,
                                                  key, value):
@@ -240,6 +245,14 @@ def test_scatter_and_spectrum_artifacts(tmp_path):
     lines = (out / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "theta_deg,value_db"
     assert len(lines) == 38  # -90..90 in 5 degree steps, inclusive
+
+    # A step that does not divide the range stops at its last whole step.
+    cfg = _write_cfg(tmp_path, _with(MINIMAL, "spectrum.grid_deg",
+                                     [-90, 90, 1.1]))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 165
+    assert lines[-1].startswith("89.3,")
 
 
 def test_solve_prints_diagnostics(tmp_path, capsys):

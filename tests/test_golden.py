@@ -117,7 +117,7 @@ EXPECTED_ROWS = {
     ],
 }
 
-# slp_multiuser at its shipped seed 1, under each margin solver.
+# slp_multiuser at its shipped seed 1.
 EXPECTED_SOLVES = {
     "slp_dual": {
         "converged": True,
@@ -131,17 +131,6 @@ EXPECTED_SOLVES = {
         "restarts": 3,
         "solver": "dual",
         "worst_margin": 46.53404645484338,
-    },
-    "slp_primal": {
-        "converged": False,
-        "iterations": 2000,
-        "lp_bound": -49.772084850997004,
-        "lp_gap": 40.75897237012979,
-        "objective": -9.013112480867257,
-        "peak_rail": 0.3846607119653676,
-        "restarts": 0,
-        "solver": "primal",
-        "worst_margin": 9.013112480867255,
     },
 }
 

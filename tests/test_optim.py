@@ -369,11 +369,15 @@ class TestMinIqInfNorm:
 
     def test_exact_cancellation_in_range(self):
         # r lies in the nullspace of the steering rows, so v = 0 is feasible.
+        # Finer settings than NULLSPACE_PARAMS, at which the value ends at
+        # 0.67 of the bound below.
         rng = np.random.default_rng(12)
         q, _ = np.linalg.qr(_complex_normal(rng, (8, 8)))
         w = _complex_normal(rng, 3)
         r = q[:, :3] @ w
-        v, res = min_iq_inf_norm(r, q[:, 3:].conj().T)
+        v, res = min_iq_inf_norm(
+            r, q[:, 3:].conj().T,
+            ApgParams(smoothing=1e-3, tol=1e-6, max_iters=1500))
         assert res.value <= 1e-4 * np.abs(r).max()
         np.testing.assert_allclose(v, 0.0, atol=1e-3 * np.abs(w).max())
 

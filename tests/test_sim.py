@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import tracemalloc
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from sdprecode.sim import (
     run_spectrum,
 )
 from sdprecode.sim import engine
+from sdprecode.sim.config import SolverSpec
 from sdprecode.sim.engine import _complex_normal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -131,6 +133,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as info:
             _cfg(bogus_knob=1)
         assert "bogus_knob" in str(info.value)
+
+    def test_every_solver_knob_is_read_and_documented(self):
+        # Each knob, at a value no other knob or default has, reaches the
+        # settings of a solver run.
+        knobs = fields(SolverSpec)
+        distinct = {f.name: 11 + i if isinstance(f.default, int)
+                    else 0.5 ** (i + 3) for i, f in enumerate(knobs)}
+        spec = SolverSpec(**distinct)
+        read = {v for solver in ("dual", "nullspace")
+                for v in astuple(spec.apg_params(solver))}
+        assert [k for k, v in distinct.items() if v not in read] == []
+
+        # README's solver table lists each knob with its default.
+        lines = (ROOT / "README.md").read_text().splitlines()
+        start = lines.index("| key | default | read by | meaning |") + 2
+        documented = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            key, default = line.strip("|").split("|")[:2]
+            documented[key.strip().strip("`")] = float(default)
+        assert documented == {f.name: f.default for f in knobs}
 
     def test_separation_too_tight_rejected(self):
         with pytest.raises(ConfigError):
