@@ -421,24 +421,48 @@ def decide(y, constellation: Constellation, scale: float = 1.0) -> np.ndarray:
 
     Returns ``argmin_s |y/scale - s|`` over the constellation.  For PSK the
     result does not depend on ``scale`` (all symbols share the unit modulus,
-    so the nearest point is the nearest phase).
+    so the nearest point is the nearest phase).  Square QAM decides each
+    rail on its own, and an exact midpoint goes to the lower level, the
+    lower index.
     """
     scale = np.asarray(scale, dtype=float)
     if np.any(scale <= 0):
         raise ValueError("scale must be positive")
     y = np.asarray(y, dtype=complex)
     u = (y / scale).ravel()
-    points = constellation.points
-    out = np.empty(u.shape, dtype=np.intp)
-    # |u - s|^2 = |u|^2 - 2 Re(u s*) + |s|^2; the |u|^2 term is constant in s.
-    metric_bias = np.abs(points) ** 2
-    chunk = 1 << 16
-    for lo in range(0, u.size, chunk):
-        block = u[lo : lo + chunk, None]
-        d = metric_bias - 2.0 * (block * points.conj()[None, :]).real
-        out[lo : lo + chunk] = np.argmin(d, axis=1)
+    if constellation.kind == "qam":
+        out = _qam_decide(u, math.isqrt(constellation.order))
+    else:
+        points = constellation.points
+        out = np.empty(u.shape, dtype=np.intp)
+        # |u - s|^2 = |u|^2 - 2 Re(u s*) + |s|^2; the |u|^2 term is
+        # constant in s.
+        metric_bias = np.abs(points) ** 2
+        chunk = 1 << 16
+        for lo in range(0, u.size, chunk):
+            block = u[lo : lo + chunk, None]
+            d = metric_bias - 2.0 * (block * points.conj()[None, :]).real
+            out[lo : lo + chunk] = np.argmin(d, axis=1)
     out = out.reshape(y.shape)
     return out if y.shape else out[()]
+
+
+def _qam_decide(u, m):
+    """Indices ``i_re * m + i_im`` of the nearest square-QAM points.
+
+    Scaled by the corner magnitude, the levels of a rail are ``2 i - (m -
+    1)``, so the nearest is ``i = ceil((r + m)/2) - 1`` clipped to the
+    grid; a NaN rail takes the first level.
+    """
+    rails = u.view(float).reshape(-1, 2) * math.hypot(m - 1, m - 1)
+    rails += m
+    rails *= 0.5
+    np.ceil(rails, out=rails)
+    rails -= 1.0
+    np.fmax(rails, 0.0, out=rails)
+    np.fmin(rails, m - 1.0, out=rails)
+    idx = rails.astype(np.intp)
+    return idx[:, 0] * m + idx[:, 1]
 
 
 def bit_errors(constellation: Constellation, idx_a, idx_b) -> np.ndarray:

@@ -339,7 +339,10 @@ def huber(y, tau) -> np.ndarray:
         raise ValueError("tau must be positive")
     y = np.asarray(y, dtype=float)
     mag = np.abs(y)
-    out = np.where(mag <= tau, y * y / (2.0 * tau), mag - tau / 2.0)
+    # The quadratic branch everywhere, then the linear one where it holds.
+    out = np.multiply(y, y, out=np.empty_like(y))
+    out /= 2.0 * tau
+    np.subtract(mag, tau / 2.0, out=out, where=mag > tau)
     return out if out.ndim else float(out)
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .. import analysis, modulator, precoder
 from ..channel import (
+    CanonicalGains,
     Constellation,
     ArrayGeometry,
     bit_errors,
@@ -139,47 +140,94 @@ def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None,
 # Single-user pipeline (shared by SER, scatter, and spectrum runs)
 # ---------------------------------------------------------------------------
 
-def _single_user_tx(cfg: SimConfig, const: Constellation, rngs, n_use,
-                    work):
-    """MRT toward one user: plain or angle steered toward a fixed-angle path,
-    or channel matched over an i.i.d. Gaussian channel.
+# Largest (N, width) complex array a single-user slice puts in the
+# workspace.  It keeps every buffer below numpy's 4 MiB huge-page threshold
+# and halves the arena of a 1024-trial block at N = 256.  Narrower slices
+# cost more than they save: at 1 MiB the rotated loop makes twice the
+# per-step calls, and mrt_broadside ran 10-20 % and steered_endfire 25 %
+# slower (2-core x86 host, numpy 2.4 with OpenBLAS).
+_SLICE_BYTES = 1 << 21
 
-    Returns ``(x, gain, s_idx, alpha, y)``: the one-bit (or pass-through)
-    antenna matrix (N, n_use), the coherent receive gain per trial, the sent
-    symbol indices, and the noiseless receive ``alpha * y``.  On a single
-    path ``alpha`` is the channel phase per trial and ``y = a @ x``, with
-    the row ``a`` that built ``xbar`` (``mrt_arrays``' ``rows``).  The
-    i.i.d. channel is put in canonical order per trial
-    (``channel.canonicalize_gains``), and ``y`` uses the sorted channel,
-    which is equivalent to un-permuting the antenna vector; there ``alpha =
-    1``.  ``work`` (a ``modulator.Workspace``) holds the precode target and
-    the modulator arrays, so ``x`` is valid only until its next use.
-    """
+
+def _slice_width(n_antennas: int) -> int:
+    """Trials per single-user slice: the largest power of two whose
+    ``(n_antennas, width)`` complex array fits in ``_SLICE_BYTES``, at most
+    a block.  Power-of-two widths keep each column's BLAS arithmetic that of
+    the whole-block call."""
+    fit = max(1, _SLICE_BYTES // (16 * n_antennas))
+    return min(1 << (fit.bit_length() - 1), RNG_BATCH)
+
+
+def _single_user_draw(cfg: SimConfig, const: Constellation, rngs, n_use):
+    """One block's draw: ``(s_idx, channel)``, the sent symbol indices and
+    either the channel phase ``exp(1j*psi)`` per trial (single path) or the
+    i.i.d. Gaussian gains in canonical order per trial
+    (``channel.canonicalize_gains``, antenna axis first)."""
     s_idx = rngs[_SYM].integers(0, const.order, n_use)
     if cfg.channel.model == "iid_gaussian":
-        h = canonicalize_gains(
+        return s_idx, canonicalize_gains(
             _complex_normal(rngs[_CH], (n_use, cfg.n_antennas)).T)
+    return s_idx, np.exp(1j * rngs[_CH].uniform(-math.pi, math.pi, n_use))
+
+
+def _single_user_tx(cfg: SimConfig, const: Constellation, s_idx, channel,
+                    sl: slice, rng_dither, work):
+    """Precode, modulate and receive the trials ``sl`` of a drawn block:
+    MRT toward one user, plain or angle steered toward a fixed-angle path,
+    or channel matched over the i.i.d. channel.
+
+    Returns ``(x, gain, y)``: the one-bit (or pass-through) antenna matrix
+    (N, width), the coherent receive gain per trial and the noiseless
+    receive without the channel phase.  On a single path ``y = a @ x``
+    with the row ``a`` that built ``xbar`` (``mrt_arrays``' ``rows``); on
+    the i.i.d. channel ``y`` uses the sorted channel, which is equivalent
+    to un-permuting the antenna vector.  ``work`` (a
+    ``modulator.Workspace``) holds the precode target and the modulator
+    arrays, so ``x`` is valid only until its next use.  The slices of a
+    block draw from its ``rng_dither`` in order, trial-major, so together
+    they get the whole block's dither.
+    """
+    symbols = const.points[s_idx[sl]]
+    if isinstance(channel, CanonicalGains):
+        h = CanonicalGains(channel.coefficients[:, sl],
+                           channel.permutation[:, sl])
         safe = cfg.modulator == "generalized" and cfg.amplitude_mode == "safe"
-        out = precoder.mrt_generalized(h, const.points[s_idx],
+        out = precoder.mrt_generalized(h, symbols,
                                        amplitudes=None if safe else 1.0,
                                        work=work)
-        x = _modulate(cfg, out.xbar, rngs[_DITHER], gains=h, work=work)
-        alpha, y = 1.0, np.einsum("nb,nb->b", h.coefficients, x)
-    else:
-        geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
-        theta = math.radians(cfg.channel.angle_deg)
-        alpha = np.exp(1j * rngs[_CH].uniform(-math.pi, math.pi, n_use))
-        out = precoder.mrt_arrays(geom, theta, alpha, const.points[s_idx],
-                                  steered=cfg.scheme == "mrt_steered",
-                                  work=work)
-        x = _modulate(cfg, out.xbar, rngs[_DITHER],
-                      steer_phi=out.metadata["phi"], work=work)
-        y = out.metadata["rows"] @ x
-    return x, out.gains[:, 0], s_idx, alpha, y
+        x = _modulate(cfg, out.xbar, rng_dither, gains=h, work=work)
+        return x, out.gains[:, 0], np.einsum("nb,nb->b", h.coefficients, x)
+    geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)
+    out = precoder.mrt_arrays(geom, math.radians(cfg.channel.angle_deg),
+                              channel[sl], symbols,
+                              steered=cfg.scheme == "mrt_steered", work=work)
+    x = _modulate(cfg, out.xbar, rng_dither, steer_phi=out.metadata["phi"],
+                  work=work)
+    return x, out.gains[:, 0], out.metadata["rows"] @ x
+
+
+def _single_user_block(cfg: SimConfig, const: Constellation, rngs, n_use,
+                       work):
+    """Draw one block whole, then transmit and receive it in slices of
+    ``_slice_width`` trials, all in ``work``.
+
+    Returns ``(s_idx, alpha, gain, y)`` for the block, with the noiseless
+    receive ``alpha * y``; ``alpha`` is the channel phase per trial on a
+    single path and 1 on the i.i.d. channel.
+    """
+    s_idx, channel = _single_user_draw(cfg, const, rngs, n_use)
+    gain, y = np.empty(n_use), np.empty(n_use, dtype=complex)
+    width = _slice_width(cfg.n_antennas)
+    for lo in range(0, n_use, width):
+        sl = slice(lo, lo + width)
+        _, gain[sl], y[sl] = _single_user_tx(cfg, const, s_idx, channel, sl,
+                                             rngs[_DITHER], work)
+    alpha = 1.0 if isinstance(channel, CanonicalGains) else channel
+    return s_idx, alpha, gain, y
 
 
 def _kernel_single_user(cfg, const, power, rngs, n_use, work) -> _Counts:
-    x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use, work)
+    s_idx, alpha, gain, y = _single_user_block(cfg, const, rngs, n_use, work)
     noise = _complex_normal(rngs[_NOISE], (n_use,))
     amp_scale = math.sqrt(power / (2.0 * cfg.n_antennas))
     counts = _Counts(trials=n_use)
@@ -408,7 +456,7 @@ def run_iq_scatter(cfg: SimConfig, n_realizations: Optional[int] = None):
     sent, received = [], []
     work = modulator.Workspace()
     for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SCATTER, 0, n_total):
-        x, gain, s_idx, alpha, y = _single_user_tx(cfg, const, rngs, n_use,
+        s_idx, alpha, gain, y = _single_user_block(cfg, const, rngs, n_use,
                                                    work)
         sent.append(const.points[s_idx])
         received.append(alpha * y / gain)
@@ -469,7 +517,11 @@ def run_spectrum(cfg: SimConfig, angles_deg=None,
     power_sum = np.zeros(angles_deg.size)
     work = modulator.Workspace()
     for rngs, n_use in _blocks(cfg.seed, _PURPOSE_SPECTRUM, 0, n_total):
-        x = _single_user_tx(cfg, const, rngs, n_use, work)[0]
+        # One whole-block slice: the pinned spectrum sums each block's
+        # beam power at once.
+        s_idx, channel = _single_user_draw(cfg, const, rngs, n_use)
+        x = _single_user_tx(cfg, const, s_idx, channel, slice(0, n_use),
+                            rngs[_DITHER], work)[0]
         power_sum += analysis.beam_power_sum(grid, x)
     return angles_deg, analysis.spectrum_db(power_sum / n_total,
                                             cfg.n_antennas)

@@ -385,6 +385,38 @@ class TestDecide:
         assert decide(scale * c.points[idx], c, scale) == idx
 
 
+class TestQamRails:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([4, 16, 64, 256]), st.floats(0.01, 100.0),
+           st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                    min_size=1, max_size=8))
+    def test_matches_brute_force_argmin(self, order, scale, rails):
+        # Per-rail slicing against the distance to every point, for points
+        # inside and outside the grid.  A rail within 2e-9 of a decision
+        # boundary moves 1e-6 off it, so each stays 1e-9 away after the
+        # round trip through the scale.
+        c = make_constellation("qam", order)
+        m = math.isqrt(order)
+        bounds = np.arange(2 - m, m - 1, 2) / math.hypot(m - 1, m - 1)
+        u = np.array(rails, dtype=float)
+        near = np.any(np.abs(u[..., None] - bounds) < 2e-9, axis=-1)
+        u[near] += 1e-6
+        y = scale * (u[:, 0] + 1j * u[:, 1])
+        u = y / scale
+        for rail in (u.real, u.imag):
+            assert np.all(np.abs(rail[:, None] - bounds) >= 1e-9)
+        oracle = np.argmin(np.abs(u[:, None] - c.points[None, :]), axis=1)
+        np.testing.assert_array_equal(decide(y, c, scale), oracle)
+
+    def test_midpoints_take_the_lower_index(self):
+        c = make_constellation("qam", 16)
+        # Between points 5 and 6 on the quadrature rail, and between 5 and 9
+        # on the in-phase rail.
+        for other in (6, 9):
+            y = (c.points[5] + c.points[other]) / 2.0
+            assert decide(y, c) == 5
+
+
 class TestBitErrors:
     def test_zero_for_equal_indices(self):
         c = make_constellation("qam", 16)

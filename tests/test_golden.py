@@ -1,13 +1,14 @@
 """Pinned Monte Carlo outputs: exact ``ser.csv`` rows and artifact digests.
 
 Every shipped ``ser`` config runs at reduced size, plus dithered and
-channel-matched variants; ``spectrum_mrt`` pins the bytes of the CLI's
-``spectrum.csv`` (one RNG block, and as shipped over three) and
-``scatter.csv``, and ``slp_multiuser`` pins the
-``solve.json`` of both margin solvers, iteration and restart counts
-included; one nullspace block pins the peak-shaving solve itself, which
-the coarse error rates would not notice.  A fixed seed must keep producing
-these bytes; a change that moves any of them has to say why.
+channel-matched variants; the ``*_slices`` cases run several RNG blocks,
+each in more than one of the engine's column slices; ``spectrum_mrt`` pins
+the bytes of the CLI's ``spectrum.csv`` (one RNG block, and as shipped over
+three) and ``scatter.csv`` (one block, and three), and ``slp_multiuser``
+pins the ``solve.json`` of both margin solvers, iteration and restart
+counts included; one nullspace block pins the peak-shaving solve itself,
+which the coarse error rates would not notice.  A fixed seed must keep
+producing these bytes; a change that moves any of them has to say why.
 """
 
 import hashlib
@@ -36,6 +37,14 @@ GENERALIZED = {
     "seed": 3,
 }
 
+# Several RNG blocks at N >= 256, where the engine runs each block in
+# column slices: three blocks, the last short, at N = 256; a width (256)
+# that does not divide the block at N = 300.
+SLICES = {"trials": 3001, "early_stop_errors": 10 ** 9}
+SLICES_N300 = {"trials": 1100, "early_stop_errors": 10 ** 9,
+               "geometry": {"n_antennas": 300,
+                            "spacing_over_wavelength": 0.125}}
+
 # name -> (shipped config or None, overrides)
 SER_CASES = {
     "mrt_broadside": ("mrt_broadside", {"trials": 256}),
@@ -52,6 +61,15 @@ SER_CASES = {
     "mrt_generalized": (None, {**GENERALIZED, "modulator": "generalized"}),
     "mrt_generalized_unquantized": (None, {**GENERALIZED,
                                            "modulator": "unquantized"}),
+    "mrt_broadside_slices": ("mrt_broadside", SLICES),
+    "mrt_broadside_slices_dithered": ("mrt_broadside",
+                                      {**SLICES, "modulator": "dithered",
+                                       "seed": 7}),
+    "mrt_broadside_slices_n300": ("mrt_broadside", SLICES_N300),
+    "mrt_generalized_slices": (None, {
+        **GENERALIZED, "modulator": "generalized",
+        "geometry": {"n_antennas": 256, "spacing_over_wavelength": 0.125},
+        "snr_db": [-6.0, -3.0, 0.0], "trials": 1100}),
 }
 
 EXPECTED_ROWS = {
@@ -71,9 +89,38 @@ EXPECTED_ROWS = {
         "-8,0.00390625,0.001302083333,nan,0.007641281755,256",
         "-6,0,0,nan,0,256",
     ],
+    "mrt_broadside_slices": [
+        "-16,0.3222259247,0.1138509386,0.3318372897,0.01672036638,3001",
+        "-14,0.2232589137,0.07586360102,0.2218263434,0.01489929147,3001",
+        "-12,0.1192935688,0.03976452294,0.1240457506,0.01159704048,3001",
+        "-10,0.05864711763,0.01954903921,0.05283806496,0.008406643645,3001",
+        "-8,0.01199600133,0.003998667111,0.01478576643,0.003895118525,3001",
+        "-6,0.001332889037,0.0004442963457,0.002149658787,0.001305360435,3001",
+    ],
+    "mrt_broadside_slices_dithered": [
+        "-16,0.3412195935,0.1189603466,nan,0.01696330189,3001",
+        "-14,0.2209263579,0.07464178607,nan,0.01484349245,3001",
+        "-12,0.1159613462,0.03865378207,nan,0.01145553364,3001",
+        "-10,0.05798067311,0.01932689104,nan,0.008361700475,3001",
+        "-8,0.01566144618,0.005220482062,nan,0.004442334455,3001",
+        "-6,0.001332889037,0.0004442963457,nan,0.001305360435,3001",
+    ],
+    "mrt_broadside_slices_n300": [
+        "-16,0.2772727273,0.09757575758,0.2934835879,0.02645455909,1100",
+        "-14,0.1736363636,0.05878787879,0.1859970406,0.02238544174,1100",
+        "-12,0.09636363636,0.03212121212,0.09592342602,0.01743866233,1100",
+        "-10,0.03818181818,0.01272727273,0.03607833382,0.01132490383,1100",
+        "-8,0.007272727273,0.002424242424,0.008320927582,0.005021383097,1100",
+        "-6,0.0009090909091,0.000303030303,0.0008937307722,0.00178100808,1100",
+    ],
     "mrt_generalized": [
         "0,0.23046875,0.0625,nan,0.05158877819,256",
         "4,0.0546875,0.013671875,nan,0.02785273353,256",
+    ],
+    "mrt_generalized_slices": [
+        "-6,0.2554545455,0.07068181818,nan,0.02577283269,1100",
+        "-3,0.08272727273,0.02181818182,nan,0.0162792099,1100",
+        "0,0.01090909091,0.002727272727,nan,0.006138639284,1100",
     ],
     "mrt_generalized_unquantized": [
         "0,0.1171875,0.029296875,nan,0.03940133803,256",
@@ -145,6 +192,11 @@ EXPECTED_DIGESTS = {
 SHIPPED_SPECTRUM_DIGEST = \
     "b8d6e44797ef1c6832466ff0a79d8c44b18b0bfe5568ef68ff41e25086dc5b9f"
 
+# spectrum_mrt's scatter at 2100 realizations: three RNG blocks, the last
+# short, each full block in two column slices.
+SLICED_SCATTER_DIGEST = \
+    "6f06bf5d7b01334b3934e42c5d8809f867e0b7aa80467dcabe9bf43f8194d8c1"
+
 
 def _raw(config, overrides):
     raw = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text()) \
@@ -186,6 +238,13 @@ def test_shipped_spectrum_bytes_are_pinned(tmp_path):
                             "spectrum.csv")
     assert status == 0
     assert hashlib.sha256(data).hexdigest() == SHIPPED_SPECTRUM_DIGEST
+
+
+def test_multi_block_scatter_bytes_are_pinned(tmp_path):
+    raw = _raw("spectrum_mrt", {"scatter": {"realizations": 2100}})
+    status, data = artifact(tmp_path, "scatter", raw, "scatter.csv")
+    assert status == 0
+    assert hashlib.sha256(data).hexdigest() == SLICED_SCATTER_DIGEST
 
 
 @pytest.mark.parametrize("scheme", sorted(EXPECTED_SOLVES))

@@ -314,9 +314,10 @@ class TestSingleUserPipelines:
 class TestSingleUserMemory:
     def test_later_blocks_reuse_the_workspace(self):
         # Blocks of the shipped mrt_broadside config: 256 antennas, 1024
-        # trials.  The first block fills the workspace with xbar and the
-        # modulator's three arrays, 4 MiB each; a later block allocates
-        # nothing of that size.
+        # trials, run in two 512-trial slices.  The first block fills the
+        # workspace with xbar and the modulator's three arrays, one slice
+        # (2 MiB) each, and holds no whole-block array beside them; a later
+        # block allocates nothing of that size.
         cfg = SimConfig.from_dict(
             yaml.safe_load((CONFIGS / "mrt_broadside.yaml").read_text()))
         const = make_constellation(cfg.constellation_kind,
@@ -334,8 +335,10 @@ class TestSingleUserMemory:
                 tracemalloc.stop()
             assert counts.trials == engine.RNG_BATCH
             peaks.append(peak)
+        slice_bytes = cfg.n_antennas * engine._slice_width(cfg.n_antennas) * 16
+        assert slice_bytes == 2 ** 21
+        assert 4 * slice_bytes <= peaks[0] < 4.5 * slice_bytes
         array_bytes = cfg.n_antennas * engine.RNG_BATCH * 16
-        assert peaks[0] >= 4 * array_bytes
         assert peaks[1] <= array_bytes / 4
 
 
