@@ -7,7 +7,8 @@ names and renamed, so a crashed run never leaves a partial artifact; the
 manifest is written last and lists everything that was produced.
 
 Exit codes: 0 success, 2 bad config or usage, 3 a solver hit its iteration
-cap (artifacts are still written and the manifest flags the run).
+cap (artifacts are still written and the manifest flags the run; `ser`
+also names the count and the SNR points on stderr).
 """
 
 from __future__ import annotations
@@ -71,9 +72,15 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
 
 def _ser(cfg: SimConfig, args):
     curve = engine.run_ser(cfg, n_workers=args.threads)
-    status = EXIT_NONCONVERGED if curve.nonconverged else EXIT_OK
+    total = int(curve.nonconverged.sum())
+    if total:
+        points = ", ".join(f"{db:g}" for db in
+                           curve.snr_db[curve.nonconverged > 0])
+        print(f"{total} solver instances hit the iteration cap "
+              f"at snr_db {points}", file=sys.stderr)
     return ({"ser.csv": _csv(curve.CSV_HEADER, curve.csv_rows())},
-            {"solver_nonconverged": curve.nonconverged}, status)
+            {"solver_nonconverged": total},
+            EXIT_NONCONVERGED if total else EXIT_OK)
 
 
 def _spectrum(cfg: SimConfig, args):

@@ -48,7 +48,6 @@ __all__ = ["RNG_BATCH", "SerCurve", "run_ser", "run_iq_scatter",
            "run_solve", "run_spectrum"]
 
 RNG_BATCH = 1024
-_CHUNK = 128          # compute-chunk width for the multi-user matrix kernels
 
 _CH, _SYM, _NOISE, _DITHER = range(4)
 _PURPOSE_SER, _PURPOSE_SCATTER, _PURPOSE_SPECTRUM, _PURPOSE_SOLVE = range(4)
@@ -137,8 +136,18 @@ def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None,
 
 
 # ---------------------------------------------------------------------------
-# Single-user pipeline (shared by SER, scatter, and spectrum runs)
+# Compute chunks
 # ---------------------------------------------------------------------------
+
+def _chunk_width(bytes_per_trial: int, budget: int) -> int:
+    """Trials per compute chunk: the largest power of two whose
+    ``bytes_per_trial`` fit in ``budget``, at least 1 and at most a block.
+    Every per-trial operation is column-independent, and power-of-two widths
+    keep each column's BLAS arithmetic that of the whole-block call, so the
+    width moves no output bit."""
+    fit = max(1, budget // bytes_per_trial)
+    return min(1 << (fit.bit_length() - 1), RNG_BATCH)
+
 
 # Largest (N, width) complex array a single-user slice puts in the
 # workspace.  It keeps every buffer below numpy's 4 MiB huge-page threshold
@@ -148,15 +157,32 @@ def _modulate(cfg: SimConfig, xbar, rng_dither, steer_phi=0.0, gains=None,
 # slower (2-core x86 host, numpy 2.4 with OpenBLAS).
 _SLICE_BYTES = 1 << 21
 
+# Largest (width, T, K, N) complex stack of a multi-user chunk, the size of
+# SLP's margin rows.  It gives 32 trials at K = 24, N = 512, T = 1, where the
+# stack stays in cache: zf_multiuser ran 16 % faster than in 128-trial
+# chunks and 8 % faster than in 16- or 64-trial ones (same host, one BLAS
+# thread).  Twice the budget would put T = 100 blocks in 2-trial chunks;
+# at 4 trials they ran slower and peaked higher.
+_CHUNK_BYTES = 1 << 23
+
 
 def _slice_width(n_antennas: int) -> int:
-    """Trials per single-user slice: the largest power of two whose
-    ``(n_antennas, width)`` complex array fits in ``_SLICE_BYTES``, at most
-    a block.  Power-of-two widths keep each column's BLAS arithmetic that of
-    the whole-block call."""
-    fit = max(1, _SLICE_BYTES // (16 * n_antennas))
-    return min(1 << (fit.bit_length() - 1), RNG_BATCH)
+    """Trials per single-user slice, whose ``(n_antennas, width)`` complex
+    arrays fit in ``_SLICE_BYTES``."""
+    return _chunk_width(16 * n_antennas, _SLICE_BYTES)
 
+
+def _multiuser_width(cfg: SimConfig) -> int:
+    """Trials per multi-user chunk, whose ``(T, K, N)`` complex stacks fit
+    in ``_CHUNK_BYTES``; long blocks (T = 100) run, and are modulated, one
+    trial at a time."""
+    return _chunk_width(16 * cfg.channel.n_users * cfg.n_antennas
+                        * cfg.block_length, _CHUNK_BYTES)
+
+
+# ---------------------------------------------------------------------------
+# Single-user pipeline (shared by SER, scatter, and spectrum runs)
+# ---------------------------------------------------------------------------
 
 def _single_user_draw(cfg: SimConfig, const: Constellation, rngs, n_use):
     """One block's draw: ``(s_idx, channel)``, the sent symbol indices and
@@ -299,9 +325,9 @@ def _kernel_multiuser(cfg, const, power, rngs, n_use) -> _Counts:
     amp_scale = math.sqrt(power / (2.0 * cfg.n_antennas))
 
     counts = _Counts(trials=n_use)
-    # Chunks hold a fixed number of symbol columns, so long blocks run (and
-    # modulate) one trial at a time.
-    step = max(1, _CHUNK // t_len)
+    # The draws above are whole-block; the designs run in chunks sized by
+    # their bytes, which moves no output bit.
+    step = _multiuser_width(cfg)
     for lo in range(0, n_use, step):
         sl = slice(lo, min(lo + step, n_use))
         tables, out = _multiuser_step(cfg, const, power, angles[sl],
@@ -348,7 +374,7 @@ class SerCurve:
     symbol_errors: np.ndarray
     bits: np.ndarray
     bit_errors: np.ndarray
-    nonconverged: int
+    nonconverged: np.ndarray
 
     CSV_HEADER = "snr_db,ser,ber,theory_ser,ci_halfwidth,trials"
 
@@ -415,8 +441,7 @@ def run_ser(cfg: SimConfig, n_workers: int = 1) -> SerCurve:
         ser=ser, ber=ber, theory_ser=np.array([th for _, th in results]),
         ci_halfwidth=ci, trials=col["trials"], symbols=col["symbols"],
         symbol_errors=col["symbol_errors"], bits=col["bits"],
-        bit_errors=col["bit_errors"],
-        nonconverged=int(col["nonconverged"].sum()),
+        bit_errors=col["bit_errors"], nonconverged=col["nonconverged"],
     )
 
 

@@ -315,6 +315,25 @@ def test_manifest_contract(tmp_path, command, artifact):
         assert "solver_nonconverged" not in manifest
 
 
+def test_nonconverged_ser_says_why_on_stderr(tmp_path, capsys):
+    doc = {**SLP_SMALL, "snr_db": [10.0, 20.0], "trials": 6,
+           "solver": {"dual_max_iters": 2}}
+    out = tmp_path / "out"
+    assert main(["ser", "--config", str(_write_cfg(tmp_path, doc)),
+                 "--out", str(out), "--threads", "1"]) == 3
+    count = json.loads((out / "manifest.json").read_text())[
+        "solver_nonconverged"]
+    assert count == 12
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{count} solver instances hit the iteration cap "
+                            "at snr_db 10, 20\n")
+    # A converged run stays silent.
+    assert main(["ser", "--config", str(_write_cfg(tmp_path, MINIMAL)),
+                 "--out", str(out), "--threads", "1"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_env_var_default_out_dir(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, MINIMAL)
     target = tmp_path / "envout"

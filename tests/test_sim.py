@@ -42,6 +42,25 @@ def _cfg(**overrides):
     return SimConfig.from_dict(base)
 
 
+_MU_CHANNEL = {"model": "multi_user", "n_users": 4,
+               "angle_range_deg": [-30, 30], "gain_model": "pathloss"}
+
+
+def _mu_cfg(scheme, **overrides):
+    base = {
+        "geometry": {"n_antennas": 32, "spacing_over_wavelength": 0.125},
+        "constellation": {"kind": "psk", "order": 8},
+        "channel": _MU_CHANNEL,
+        "scheme": scheme,
+        "modulator": "basic",
+        "snr_db": [5.0, 15.0],
+        "trials": 70,
+        "seed": 4,
+    }
+    base.update(overrides)
+    return SimConfig.from_dict(base)
+
+
 _BASE = {
     "geometry": {"n_antennas": 32, "spacing_over_wavelength": 0.125},
     "constellation": {"kind": "psk", "order": 8},
@@ -218,10 +237,24 @@ class TestReproducibility:
         np.testing.assert_array_equal(r1, r2[:300])
 
     def test_worker_count_does_not_change_results(self):
-        cfg = _cfg(trials=1500)
-        a = run_ser(cfg, n_workers=1)
-        b = run_ser(cfg, n_workers=2)
-        np.testing.assert_array_equal(a.ser, b.ser)
+        for cfg in (
+            _cfg(trials=1500, snr_db=[-10.0, -5.0, 0.0]),
+            # Stops after its first block at -15 dB, runs on at the others.
+            _cfg(trials=6000, snr_db=[-15.0, -5.0, 0.0],
+                 early_stop_errors=300),
+            # Blocks in chunks of 256 trials; the last block is 152 trials.
+            _mu_cfg("zf", trials=2200, snr_db=[10.0, 15.0, 20.0],
+                    early_stop_errors=10 ** 9,
+                    geometry={"n_antennas": 256,
+                              "spacing_over_wavelength": 0.125},
+                    channel={**_MU_CHANNEL, "n_users": 8}),
+        ):
+            a = run_ser(cfg, n_workers=1)
+            for n_workers in (2, 3):
+                b = run_ser(cfg, n_workers=n_workers)
+                for f in fields(a):
+                    np.testing.assert_array_equal(getattr(a, f.name),
+                                                  getattr(b, f.name), f.name)
 
     @pytest.mark.parametrize("shape", [(128, 24, 100), (1024, 256), (3,)])
     def test_complex_normal_keeps_the_pairwise_bits(self, shape):
@@ -342,17 +375,68 @@ class TestSingleUserMemory:
         assert peaks[1] <= array_bytes / 4
 
 
+class TestChunkWidth:
+    @pytest.mark.parametrize("bytes_per_trial,budget,width", [
+        (16 * 24 * 512 * 1, engine._CHUNK_BYTES, 32),   # zf/slp_multiuser
+        (16 * 16 * 256 * 100, engine._CHUNK_BYTES, 1),  # nullspace_qam_block
+        (16 * 256, engine._SLICE_BYTES, 512),           # mrt_broadside
+        (16 * 300, engine._SLICE_BYTES, 256),
+        (16 * 128, engine._SLICE_BYTES, 1024),          # steered_endfire
+        (16, 1 << 40, engine.RNG_BATCH),
+        (1 << 40, 1, 1),
+    ])
+    def test_widths(self, bytes_per_trial, budget, width):
+        assert engine._chunk_width(bytes_per_trial, budget) == width
+
+    def test_shipped_multiuser_widths(self):
+        widths = {}
+        for name in ("zf_multiuser", "slp_multiuser", "nullspace_qam_block"):
+            cfg = SimConfig.from_dict(
+                yaml.safe_load((CONFIGS / f"{name}.yaml").read_text()))
+            widths[name] = engine._multiuser_width(cfg)
+        assert widths == {"zf_multiuser": 32, "slp_multiuser": 32,
+                          "nullspace_qam_block": 1}
+
+    @pytest.mark.parametrize("cfg", [
+        _mu_cfg("zf"),
+        _mu_cfg("slp_dual", trials=40, solver={"dual_max_iters": 400}),
+        _mu_cfg("zf_qam", constellation={"kind": "qam", "order": 16},
+                block_length=10, trials=40),
+        _mu_cfg("nullspace_zf", constellation={"kind": "qam", "order": 16},
+                block_length=10, trials=40,
+                solver={"nullspace_max_iters": 30}),
+    ], ids=["zf", "slp_dual", "zf_qam", "nullspace_zf"])
+    def test_width_moves_no_bit(self, monkeypatch, cfg):
+        # Chunks of 1, 2 and 32 trials (the last one short) and the whole
+        # block give the same counts, to the last solver cap hit; at this
+        # cap some SLP instances converge and some do not.
+        stack = 16 * cfg.channel.n_users * cfg.n_antennas * cfg.block_length
+        runs = {}
+        for width in (1, 2, 32, engine.RNG_BATCH):
+            monkeypatch.setattr(engine, "_CHUNK_BYTES", width * stack)
+            assert engine._multiuser_width(cfg) == width
+            curve = run_ser(cfg)
+            runs[width] = (list(curve.csv_rows()), curve.symbol_errors,
+                           curve.bit_errors, curve.nonconverged)
+        if cfg.scheme == "slp_dual":
+            assert 0 < runs[1][3].sum() < runs[1][3].size * cfg.trials
+        for width, run in runs.items():
+            assert run[0] == runs[1][0], width
+            for got, want in zip(run[1:], runs[1][1:]):
+                np.testing.assert_array_equal(got, want, str(width))
+
+
 class TestMultiUserMemory:
     def test_chunks_never_hold_the_steering_stack(self):
-        # 128-trial chunks of the shipped zf_multiuser config: 24 users, 512
-        # antennas.  A chunk's steering stack would be 24 MiB; the design
+        # Chunks of the shipped zf_multiuser config: 24 users, 512 antennas,
+        # 32 trials.  A chunk's steering stack would be 6 MiB; the design
         # and the receive work from the phase tables, so a later chunk
         # peaks at a third of that.
         cfg = SimConfig.from_dict(
             yaml.safe_load((CONFIGS / "zf_multiuser.yaml").read_text()))
         const = make_constellation(cfg.constellation_kind,
                                    cfg.constellation_order)
-        chunk = engine._CHUNK
+        chunk = engine._multiuser_width(cfg)
         peaks = []
         for block in range(2):
             rngs = engine._streams(cfg.seed, 0, 0, block)
@@ -365,19 +449,21 @@ class TestMultiUserMemory:
                 tracemalloc.stop()
             assert counts.trials == chunk
             peaks.append(peak)
-        assert peaks[1] <= 8 * 2 ** 20
+        assert chunk == 32
+        assert peaks[1] <= 2 * 2 ** 20
 
     def test_margin_step_holds_two_stacks(self):
-        # One 128-trial chunk of the shipped slp_multiuser config, solver
+        # One chunk of the shipped slp_multiuser config (32 trials), solver
         # capped at 3 iterations.  The channel rows are scaled in place and
         # dropped once the margin rows exist; the solver's Gram takes a
-        # conjugate copy of those.  A third stack would read 3.1.
+        # conjugate copy of those.  A third stack would read 3.1, and a
+        # 128-trial chunk peaks at 51 MiB.
         raw = yaml.safe_load((CONFIGS / "slp_multiuser.yaml").read_text())
         raw["solver"]["dual_max_iters"] = 3
         cfg = SimConfig.from_dict(raw)
         const = make_constellation(cfg.constellation_kind,
                                    cfg.constellation_order)
-        b, k = engine._CHUNK, cfg.channel.n_users
+        b, k = engine._multiuser_width(cfg), cfg.channel.n_users
         rngs = engine._streams(cfg.seed, 0, 0, 0)
         angles, alpha = engine._draw_mu_channel(cfg, rngs[0], b)
         symbols = const.points[rngs[1].integers(0, const.order, (b, k, 1))]
@@ -390,6 +476,7 @@ class TestMultiUserMemory:
             tracemalloc.stop()
         assert out.xbar.shape == (cfg.n_antennas, b, 1)
         assert peak <= 2.5 * b * k * cfg.n_antennas * 16
+        assert peak < 16 * 2 ** 20
 
 
 class TestScatter:
