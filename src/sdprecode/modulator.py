@@ -14,10 +14,19 @@ All entry points accept ``xbar`` of shape ``(N,)`` or ``(N, ...)`` with the
 antenna axis first; trailing axes are independent modulator runs (the
 recursion is sequential over antennas, vectorized over the rest).  Calls are
 pure functions of their inputs plus the dither seed.  Given a
-:class:`Workspace`, a call writes its output and traces into that
+:class:`Workspace`, a call writes its output and scratch into that
 workspace's buffers instead of fresh memory: the bits are the same, but the
-result's arrays are views that the next call with the same workspace
-overwrites, so read them before then and never pass them back in as input.
+result's output is a view that the next call with the same workspace
+overwrites, so read it before then and never pass it back in as input.
+
+A call writes only the output at full size.  It runs in row blocks
+(antenna ranges): one block for an input of at most 1 MiB, blocks of
+128 KiB above that, so each block's passes stay in cache.  A block's
+integrator and error rows live in block-sized scratch, and the rail peak
+(and the closed form's certificate) is reduced block by block.  The traces
+themselves are replayed into full-size arrays on first access
+(:class:`ModulationResult`), from the call's unchanged inputs, so they are
+valid until the inputs change or the workspace's next use.
 
 Unit feedback (basic, and steered at phi = 0) has a closed form.  With
 ``S_n`` and ``X_n`` the prefix sums of input and output on one rail and
@@ -27,11 +36,12 @@ then that of n (1-based), which gives (Gray, IEEE Trans. Commun. 1989)
 
     X_n = 2*floor((S_n - p_n)/2) + p_n + 1,   p_n = (n - 1) mod 2.
 
-That is one prefix sum plus a few whole-array passes instead of a loop over
-antennas.  The prefix sum is one ``np.add.accumulate`` call on an input of
-at most 1 MiB, and one addition per antenna above that size, where it is
-faster; both add in the same order, so the sums are the same bits.  In
-floating point the two traces differ by rounding, so each run
+That is one prefix sum plus a few passes per row block instead of a loop
+over antennas.  The prefix sum is one ``np.add.accumulate`` call on an
+input of one block, and one addition per antenna, carried from block to
+block, above that size, where it is faster; both add in the same order, so
+the sums are the same bits.  In floating point the two traces differ by
+rounding, so each run
 is certified: every ``b_n`` must lie in (-2 + tol, 2 - tol) and every
 ``|q_n|`` must be below ``1 - tol``.  Then the loop's ``b_n`` sits within 1
 of the same ``x_n = +-1``, strictly on its side of zero, so by induction
@@ -101,7 +111,6 @@ class DitherSpec:
             raise ValueError("2 * dither level must be finite")
 
 
-@dataclass(frozen=True)
 class ModulationResult:
     """One-bit output plus the internal traces of the run.
 
@@ -110,13 +119,39 @@ class ModulationResult:
     integrator left the quantizer's safe range on either rail;
     ``peak_integrator`` is the largest rail magnitude seen.  For batched
     input both have the batch shape.
+
+    ``output``, ``overloaded`` and ``peak_integrator`` are computed by the
+    call.  The two traces are not kept: the first read of either replays
+    the call's kernel from its inputs into fresh arrays, which hold the
+    bits the call saw.  So read them while the input ``xbar`` (and the
+    workspace that held the call) are unchanged; a replay whose output no
+    longer matches ``output`` raises ``RuntimeError``.
     """
 
-    output: np.ndarray
-    quant_error: np.ndarray
-    integrator_trace: np.ndarray
-    overloaded: Union[bool, np.ndarray]
-    peak_integrator: Union[float, np.ndarray]
+    def __init__(self, output, overloaded, peak_integrator, replay):
+        self.output = output
+        self.overloaded = overloaded
+        self.peak_integrator = peak_integrator
+        self._replay = replay
+        self._traces = None
+
+    @property
+    def integrator_trace(self) -> np.ndarray:
+        return self._replayed()[0]
+
+    @property
+    def quant_error(self) -> np.ndarray:
+        return self._replayed()[1]
+
+    def _replayed(self):
+        if self._traces is None:
+            x, b, q = self._replay()
+            if not np.array_equal(x, self.output):
+                raise RuntimeError(
+                    "the modulator's input or workspace changed before its "
+                    "traces were read")
+            self._traces = b, q
+        return self._traces
 
 
 class Workspace:
@@ -125,7 +160,12 @@ class Workspace:
     Repeated blocks of one run reuse the same memory instead of allocating,
     and first touching, fresh arrays each time.  Every array that is live at
     the same time needs its own name.  Scope a workspace to one run: its
-    buffers stay allocated for as long as it lives.
+    buffers stay allocated for as long as it lives.  A modulator call holds
+    its output (``"x"``) at full size and its row-block scratch (``"b"``,
+    ``"q"``), at most 128 KiB each once the input exceeds 1 MiB.  A
+    result's traces are replayed from the call's inputs, which may sit in
+    the workspace (the precoder's ``"xbar"``, the ``"dither"`` copy), so
+    read them before the workspace's next use.
     """
 
     def __init__(self):
@@ -171,7 +211,8 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0,
     shaped like xbar, is added at the quantizer input (real part to the
     in-phase rail, imaginary part to the quadrature rail).  Undithered unit
     feedback runs in closed form unless a run fails its certificate.  The
-    output and traces live in ``work`` (a fresh :class:`Workspace` if None).
+    output and the block scratch live in ``work`` (a fresh
+    :class:`Workspace` if None); the traces are replayed on first access.
     """
     xbar = np.asarray(xbar, dtype=complex)
     if xbar.ndim < 1 or xbar.shape[0] < 1:
@@ -192,111 +233,174 @@ def _run(xbar, feedback, dither=None, overload_limit=2.0,
                         + fb.shape[1:])
         fb = np.broadcast_to(fb, shape).reshape(flat.shape)
 
-    unit = dither is None and np.all(fb == 1)
-    if unit:
-        x, b, q, rail_peak, certified = _unit_feedback(flat, work)
-    if not unit or not certified.all():
-        # Reads only xbar, fb and dither, none of which is x, b or q.
-        x, b = _recursion(flat, fb, dither, work)
-        q = np.subtract(x, b, out=work.array("q", flat.shape))
-        rail_peak = _rail_peak(b)
+    closed = dither is None and bool(np.all(fb == 1))
+    # Scratch before the output: a fresh workspace frees its scratch first,
+    # which then leaves a hole below the output rather than free memory at
+    # the top of the heap that the allocator may hand back, for the next
+    # call to fault in again (T = 100 zero-forcing blocks ran about 10 %
+    # slower with the output first).
+    b = work.array("b", (_block_rows(flat), flat.shape[1]))
+    q = work.array("q", b.shape) if closed else None
+    x = work.array("x", flat.shape)
+    if closed:
+        rail_peak, certified = _closed_form(flat, x, b, q)
+        closed = bool(certified.all())
+    if not closed:
+        # Reads only xbar, fb and dither, none of which is x or b.
+        rail_peak = _loop(flat, fb, dither, x, b)
+
+    def replay():
+        xr, br = np.empty(flat.shape, complex), np.empty(flat.shape, complex)
+        if closed:
+            qr = np.empty(flat.shape, complex)
+            _closed_form(flat, xr, br, qr)
+        else:
+            _loop(flat, fb, dither, xr, br)
+            qr = np.subtract(xr, br)
+        return xr.reshape(shape), br.reshape(shape), qr.reshape(shape)
 
     rail_peak = rail_peak.reshape(tail)
     overloaded = ~(rail_peak <= overload_limit)     # NaN counts as overload
     if tail == ():
         overloaded = bool(overloaded)
         rail_peak = float(rail_peak)
-    return ModulationResult(
-        output=x.reshape(shape),
-        quant_error=q.reshape(shape),
-        integrator_trace=b.reshape(shape),
-        overloaded=overloaded,
-        peak_integrator=rail_peak,
-    )
+    return ModulationResult(x.reshape(shape), overloaded, rail_peak, replay)
 
 
-def _recursion(xbar, fb, dither, work):
-    """The loop itself on (N, runs) input; returns ``(x, b)``, both (N, runs)
-    in ``work``.
+# Inputs of at most this size run as one row block, whose prefix sums one
+# ``np.add.accumulate`` call forms.  Larger ones run in row blocks of
+# ``_BLOCK_BYTES``, where a block's passes stay in cache, and form their
+# prefix sums one addition per antenna: at that size this beats one call
+# over the whole input.  Both add in the same order, so the sums are the
+# same bits.
+_ACCUMULATE_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 17
 
-    ``fb`` is (N,) or (N, runs).  This is the reference arithmetic: every
-    step evaluates ``f*b_prev + (xbar[n] - f*x_prev)`` and quantizes its
-    sum with ``dither[n]`` (None for no dither).
+
+def _block_rows(xbar):
+    """Antennas per row block of the (N, runs) input ``xbar``."""
+    if xbar.nbytes <= _ACCUMULATE_BYTES:
+        return xbar.shape[0]
+    return max(1, _BLOCK_BYTES // (xbar.itemsize * xbar.shape[1]))
+
+
+class _RailPeak:
+    """Per-run largest rail magnitude of an (N, runs) trace, reduced over
+    its row blocks in order; max and min are exact, so the blocks give the
+    bits of one reduction over the whole trace."""
+
+    hi = lo = None
+
+    def add(self, block):
+        """Fold in the float view ``(rows, 2 * runs)`` of a block."""
+        hi, lo = block.max(axis=0), block.min(axis=0)
+        if self.hi is None:
+            self.hi, self.lo = hi, lo
+        else:
+            np.maximum(self.hi, hi, out=self.hi)
+            np.minimum(self.lo, lo, out=self.lo)
+
+    def value(self):
+        return np.maximum(self.hi, -self.lo).reshape(-1, 2).max(axis=1)
+
+
+def _trace_rows(trace, lo, hi):
+    """Rows ``lo:hi`` of a trace: ``trace`` holds all N rows (a replay) or
+    is one block's scratch, which every block reuses from its top."""
+    return trace[:hi - lo] if len(trace) < hi else trace[lo:hi]
+
+
+def _loop(xbar, fb, dither, x, b):
+    """The loop itself on (N, runs) input; writes ``x`` and returns the
+    rail peak of b per run.
+
+    ``b`` is (N, runs) for the whole trace, or a ring of ``_block_rows``
+    rows that each row block overwrites.  ``fb`` is (N,) or (N, runs).
+    This is the reference arithmetic: every step evaluates
+    ``f*b_prev + (xbar[n] - f*x_prev)`` and quantizes its sum with
+    ``dither[n]`` (None for no dither).
     """
-    x = work.array("x", xbar.shape)
-    b = work.array("b", xbar.shape)
-    xf, bf = x.view(float), b.view(float)
+    n_ant, rows = xbar.shape[0], _block_rows(xbar)
+    xf = x.view(float)
     fx = np.empty(xbar.shape[1:], dtype=complex)
     v = np.empty_like(fx)
     b_prev = x_prev = np.zeros_like(fx)
-    for n in range(xbar.shape[0]):
-        f = fb[n]
-        np.multiply(f, x_prev, out=fx)
-        np.subtract(xbar[n], fx, out=fx)
-        np.multiply(f, b_prev, out=b[n])
-        np.add(b[n], fx, out=b[n])
-        if dither is None:
-            _sign_into(bf[n], xf[n])
-        else:
-            np.add(b[n], dither[n], out=v)
-            _sign_into(v.view(float), xf[n])
-        b_prev, x_prev = b[n], x[n]
-    return x, b
+    peak = _RailPeak()
+    for lo in range(0, n_ant, rows):
+        hi = min(lo + rows, n_ant)
+        blk = _trace_rows(b, lo, hi)
+        bf = blk.view(float)
+        for i, n in enumerate(range(lo, hi)):
+            f = fb[n]
+            np.multiply(f, x_prev, out=fx)
+            np.subtract(xbar[n], fx, out=fx)
+            np.multiply(f, b_prev, out=blk[i])
+            np.add(blk[i], fx, out=blk[i])
+            if dither is None:
+                _sign_into(bf[i], xf[n])
+            else:
+                np.add(blk[i], dither[n], out=v)
+                _sign_into(v.view(float), xf[n])
+            b_prev, x_prev = blk[i], x[n]
+        peak.add(bf)
+    return peak.value()
 
 
-# Largest (N, runs) input whose prefix sums one ``np.add.accumulate`` call
-# forms; above it one addition per antenna row is faster, since the input
-# outgrows the cache.
-_ACCUMULATE_BYTES = 1 << 20
-
-
-def _unit_feedback(xbar, work):
+def _closed_form(xbar, x, b, q):
     """Closed form of the unit-feedback loop on (N, runs) input.
 
-    Returns ``(x, b, q, rail_peak, certified)`` with the arrays in ``work``;
-    see the module docstring.  Runs whose ``certified`` entry is False carry
-    no guarantee.
+    Writes ``x`` and returns ``(rail_peak, certified)``; see the module
+    docstring.  ``b`` and ``q`` are (N, runs) for the whole traces, or one
+    row block's scratch as in :func:`_loop`.  Runs whose ``certified``
+    entry is False carry no guarantee.
     """
-    n_ant = xbar.shape[0]
-    b = work.array("b", xbar.shape)              # prefix sums S, then b
-    if xbar.nbytes <= _ACCUMULATE_BYTES:
-        np.add.accumulate(xbar, axis=0, out=b)
-    else:
-        b[0] = xbar[0]
-        for n in range(1, n_ant):
-            np.add(b[n - 1], xbar[n], out=b[n])
-    s = b.view(float)
-    xsum = work.array("q", s.shape, float)       # prefix sums X, then q
-    x = work.array("x", s.shape, float)
-    parity = (np.arange(n_ant) % 2.0)[:, None]
-    # Non-finite runs fail the check below and are redone by the loop.
-    with np.errstate(invalid="ignore"):
-        np.subtract(s, parity, out=xsum)
-        xsum *= 0.5
-        np.floor(xsum, out=xsum)
-        xsum *= 2.0
-        xsum += parity + 1.0
-        x[0] = xsum[0]
-        np.subtract(xsum[1:], xsum[:-1], out=x[1:])
-        np.subtract(s[1:], xsum[:-1], out=s[1:])
-        x, q = x.view(complex), xsum.view(complex)
-        np.subtract(x, b, out=q)
-        rail_peak = _rail_peak(b)
-        margin = _rail_peak(q)
+    n_ant, rows = xbar.shape[0], _block_rows(xbar)
+    xf = x.view(float)
+    s_last = np.empty(xbar.shape[1:], dtype=complex)   # S of the row above
+    x_last = np.empty(2 * xbar.shape[1])               # X of the row above
+    peak, margin = _RailPeak(), _RailPeak()
+    for lo in range(0, n_ant, rows):
+        hi = min(lo + rows, n_ant)
+        sb, qb = _trace_rows(b, lo, hi), _trace_rows(q, lo, hi)
+        if rows == n_ant:
+            np.add.accumulate(xbar, axis=0, out=sb)
+        else:
+            if lo:
+                np.add(s_last, xbar[lo], out=sb[0])
+            else:
+                sb[0] = xbar[0]
+            for i in range(1, hi - lo):
+                np.add(sb[i - 1], xbar[lo + i], out=sb[i])
+            np.copyto(s_last, sb[-1])
+        s, xsum = sb.view(float), qb.view(float)   # S, then b; X, then q
+        parity = (np.arange(lo, hi) % 2.0)[:, None]
+        # Non-finite runs fail the check below and are redone by the loop.
+        with np.errstate(invalid="ignore"):
+            np.subtract(s, parity, out=xsum)
+            xsum *= 0.5
+            np.floor(xsum, out=xsum)
+            xsum *= 2.0
+            xsum += parity + 1.0
+            np.subtract(xsum[1:], xsum[:-1], out=xf[lo + 1:hi])
+            np.subtract(s[1:], xsum[:-1], out=s[1:])
+            if lo:
+                np.subtract(xsum[0], x_last, out=xf[lo])
+                np.subtract(s[0], x_last, out=s[0])
+            else:
+                xf[0] = xsum[0]
+            np.copyto(x_last, xsum[-1])
+            np.subtract(x[lo:hi], sb, out=qb)
+            peak.add(s)
+            margin.add(xsum)
+    rail_peak, margin = peak.value(), margin.value()
     tol = _tolerance(n_ant)
     certified = (rail_peak < 2.0 - tol) & (margin < 1.0 - tol)
-    return x, b, q, rail_peak, certified
+    return rail_peak, certified
 
 
 def _tolerance(n_ant):
     """Certification margin of the closed form; see the module docstring."""
     return np.finfo(float).eps * (n_ant + 10.0) ** 2 / 2.0
-
-
-def _rail_peak(b):
-    """Largest rail magnitude of each run of a C-contiguous (N, runs) array."""
-    f = b.view(float)
-    return np.maximum(f.max(axis=0), -f.min(axis=0)).reshape(-1, 2).max(axis=1)
 
 
 def sd_basic(xbar, work: Optional[Workspace] = None) -> ModulationResult:

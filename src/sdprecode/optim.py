@@ -158,7 +158,12 @@ def unstack_complex(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`stack_complex`."""
     x = np.asarray(x)
     n = x.shape[-1] // 2
-    return x[..., :n] + 1j * x[..., n:]
+    # The rails assigned, not ``x[..., :n] + 1j * x[..., n:]``: the same
+    # bits, but for the sign of a zero rail, without two complex passes.
+    out = np.empty(x.shape[:-1] + (n,), dtype=complex)
+    out.real = x[..., :n]
+    out.imag = x[..., n:]
+    return out
 
 
 def _colspace(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -267,11 +272,15 @@ def _apg(x0, step, params: ApgParams, problem, forward, value, grad,
         rs += worse
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = ((t - 1.0) / t_new)[:, None]
-        x_ex = x_new + beta * (x_new - x)
+        move = x_new - x
+        x_ex = x_new + beta * move
         # Where the image is the iterate itself, so is the extrapolation.
         y_ex = x_ex if y_new is x_new else y_new + beta * (y_new - y)
 
-        done = live & (np.linalg.norm(x_new - x, axis=-1) <= params.tol)
+        # ``np.linalg.norm(move, axis=-1)`` bit for bit, without its
+        # conjugate copy.
+        done = live & (np.sqrt(np.add.reduce(move * move, axis=-1))
+                       <= params.tol)
         x, y, t, f_cur = x_new, y_new, t_new, f_new
         if not done.any():
             continue

@@ -32,6 +32,7 @@ from .channel import (
     ArrayGeometry,
     MultiUserScene,
     SinglePathChannel,
+    _divide_by_real,
     as_canonical,
     phase_step,
     steering_gram,
@@ -115,7 +116,7 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
     phi = (phase_step(geometry.spacing_over_wavelength, angles)
            if steered else 0.0)
     amp = modulator.no_overload_amplitude(phi)
-    u = amp * (np.conj(gains) / np.abs(gains)) * symbols
+    u = amp * _divide_by_real(np.conj(gains), np.abs(gains)) * symbols
     rows = steering_matrix(geometry, angles)
     ramp = np.conj(_antenna_first(rows, max(np.ndim(u), angles.ndim)))
     xbar = np.multiply(ramp, u, out=_xbar_out(work, ramp, u))
@@ -192,7 +193,8 @@ def mrt_generalized(gains, symbols,
            if amplitudes is None else np.asarray(amplitudes, dtype=float))
 
     rail_max = np.maximum(np.abs(h.real), np.abs(h.imag))
-    weights = amp * np.conj(h) / rail_max
+    weights = amp * np.conj(h)
+    _divide_by_real(weights, rail_max, out=weights)
     xbar = np.multiply(weights, symbols,
                        out=_xbar_out(work, weights, symbols))
 
@@ -262,7 +264,7 @@ def _zf_targets(tables, gains, noise_std, symbols) -> np.ndarray:
     if y.shape[-1] == 1:
         back = np.swapaxes(coarse, -1, -2) @ (np.conj(y) * fine)
         back = back.reshape(back.shape[:-2] + (n, 1))
-        return np.conj(back, out=back) / n
+        return _divide_by_real(np.conj(back, out=back), n, out=back)
     yh = np.conj(y).swapaxes(-1, -2)
     batch, (t_len, k) = yh.shape[:-2], yh.shape[-2:]
     yh = yh.reshape(-1, t_len, k)
@@ -274,7 +276,8 @@ def _zf_targets(tables, gains, noise_std, symbols) -> np.ndarray:
         np.matmul(yh[sl], steering_rows((fine[sl], coarse[sl])),
                   out=back[sl])
     back = back.reshape(batch + (t_len, n))
-    return np.conj(back, out=back).swapaxes(-1, -2) / n
+    _divide_by_real(np.conj(back, out=back), n, out=back)
+    return back.swapaxes(-1, -2)
 
 
 def _zf_output(v, peak, noise_std, **metadata) -> PrecodeOutput:

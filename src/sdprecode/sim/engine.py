@@ -70,11 +70,12 @@ def _blocks(seed, purpose, point, n_total):
 
 
 def _complex_normal(rng, shape):
-    # Pairs of normals read as complex in place: the same bits as
-    # ``(z[..., 0] + 1j * z[..., 1]) / sqrt(2)`` without its temporaries.
-    z = rng.standard_normal(shape + (2,)).view(complex)[..., 0]
-    z /= math.sqrt(2.0)
-    return z
+    # Pairs of normals, each times fl(1/sqrt(2)) and read as complex in
+    # place: the bits of ``(z[..., 0] + 1j * z[..., 1]) / sqrt(2)``
+    # (``channel._divide_by_real``) without its temporaries.
+    z = rng.standard_normal(shape + (2,))
+    z *= 1.0 / math.sqrt(2.0)
+    return z.view(complex)[..., 0]
 
 
 def _sample_separated_angles(rng, count, n_users, lo, hi, sep):

@@ -24,7 +24,7 @@ from sdprecode.channel import (
     steering_rows,
     steering_tables,
 )
-from sdprecode.channel import _ramp_split
+from sdprecode.channel import _divide_by_real, _ramp_split
 from sdprecode.modulator import feedback_ratios
 
 
@@ -433,3 +433,44 @@ class TestBitErrors:
         c = make_constellation("psk", 5)
         with pytest.raises(ValueError):
             bit_errors(c, 0, 1)
+
+
+class TestDivideByReal:
+    """Each complex-by-real division site, rewritten as two real
+    multiplies, against the division it replaced, bit for bit."""
+
+    @staticmethod
+    def _complex(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("r", [math.sqrt(2.0), 256, 300, 512, 3.7])
+    def test_scalar_divisors(self, r):
+        # The zero-forcing back-projection's ``/ n`` (in place there) and
+        # the complex normal's ``/ sqrt(2)``.
+        z = self._complex(np.random.default_rng(33), (64, 4096))
+        want = (z / r).tobytes()
+        assert _divide_by_real(z, r).tobytes() == want
+        assert _divide_by_real(z, r, out=z).tobytes() == want
+
+    @pytest.mark.parametrize("site", ["decide", "mrt_generalized",
+                                      "mrt_arrays"])
+    def test_array_divisors(self, site):
+        rng = np.random.default_rng(34)
+        z = self._complex(rng, (256, 1024))
+        if site == "decide":            # y / scale, scale > 0 per symbol
+            r = rng.uniform(0.01, 40.0, z.shape)
+        elif site == "mrt_generalized":  # amp * conj(h) / rail_max
+            h = self._complex(rng, z.shape)
+            z = rng.uniform(0.5, 2.0, z.shape) * np.conj(h)
+            r = np.maximum(np.abs(h.real), np.abs(h.imag))
+        else:                           # conj(g) / |g|
+            z = np.conj(z)
+            r = np.abs(z)
+        assert _divide_by_real(z, r).tobytes() == (z / r).tobytes()
+
+    def test_zero_rail_keeps_its_sign(self):
+        z = np.array([complex(-0.0, 1.0)])
+        got, div = _divide_by_real(z, 2.0), z / 2.0
+        assert got == div
+        assert math.copysign(1.0, got.real[0]) == -1.0
+        assert math.copysign(1.0, div.real[0]) == 1.0

@@ -329,8 +329,8 @@ def _loop(xbar):
     """The loop on every run of ``xbar``: ``(x, b, peak, overloaded)``."""
     xbar = np.asarray(xbar, dtype=complex)
     flat = xbar.reshape(xbar.shape[0], -1)
-    x, b = modulator._recursion(flat, np.ones(flat.shape[0], complex), None,
-                                Workspace())
+    x, b = np.empty(flat.shape, complex), np.empty(flat.shape, complex)
+    modulator._loop(flat, np.ones(flat.shape[0], complex), None, x, b)
     peak = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=0)
     peak = peak.reshape(xbar.shape[1:])
     return x.reshape(xbar.shape), b.reshape(xbar.shape), peak, ~(peak <= 2.0)
@@ -415,8 +415,9 @@ class TestClosedFormAgainstLoop:
         _assert_matches_loop(sd_basic(xbar), xbar)
 
     def test_narrow_and_wide_batches_agree_per_column(self, monkeypatch):
-        # The narrow batch (400 KiB) forms its prefix sums in one call, the
-        # wide one (2.5 MiB, the same columns inside) one antenna at a time.
+        # The narrow batch (400 KiB) runs as one block and forms its prefix
+        # sums in one call, the wide one (2.5 MiB, the same columns inside)
+        # in row blocks, one antenna at a time.
         rng = np.random.default_rng(25)
         narrow = _box_inputs(rng, 256, 100, bound=0.95)
         wide = _box_inputs(rng, 256, 640, bound=0.95)
@@ -427,7 +428,7 @@ class TestClosedFormAgainstLoop:
         def no_loop(*args):
             raise AssertionError("a run failed its certificate")
 
-        monkeypatch.setattr(modulator, "_recursion", no_loop)
+        monkeypatch.setattr(modulator, "_loop", no_loop)
         res_narrow, res_wide = sd_basic(narrow), sd_basic(wide)
         for name in ("output", "quant_error", "integrator_trace",
                      "peak_integrator"):
@@ -491,6 +492,51 @@ class TestWorkspace:
         d = work.array("x", (8, 8))                 # grows: a new buffer
         assert not np.shares_memory(a, d)
         assert np.shares_memory(d, work.array("x", (1,)))
+
+
+def _replay_cases():
+    rng = np.random.default_rng(26)
+    with_nan = _box_inputs(rng, 48, 4, bound=0.9)
+    with_nan[7, 2] = complex(np.nan, 0.2)         # fails the certificate
+    wide = _box_inputs(rng, 48, 1600, bound=0.9)  # 1.2 MiB
+    assert modulator._block_rows(wide) == 5       # 9 blocks and 3 rows
+    return {"narrow": _box_inputs(rng, 48, 10, bound=0.9),
+            "overdriven": _box_inputs(rng, 48, 6, bound=1.3),
+            "nan": with_nan, "wide": wide}
+
+
+class TestReplayedTraces:
+    """The call keeps only its output; the traces are replayed from its
+    inputs on first access."""
+
+    @pytest.mark.parametrize("name", sorted(MODULATORS))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_peak_and_flags_are_those_of_the_replayed_trace(self, name):
+        limit = 2.3 if name == "dithered" else 2.0
+        for label, xbar in _replay_cases().items():
+            res = MODULATORS[name](xbar, None)
+            b = res.integrator_trace
+            peak = np.maximum(np.abs(b.real), np.abs(b.imag)).max(axis=0)
+            np.testing.assert_array_equal(res.peak_integrator, peak, label)
+            np.testing.assert_array_equal(res.overloaded, ~(peak <= limit),
+                                          label)
+            if label == "nan":
+                assert np.isnan(peak[2]) and res.overloaded[2]
+
+    @pytest.mark.parametrize("name", sorted(MODULATORS))
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_reused_workspace_replays_fresh_traces_and_refuses_stale(
+            self, name):
+        modulate = MODULATORS[name]
+        cases = _replay_cases()
+        work = Workspace()
+        stale = modulate(cases["wide"][:, ::-1].copy(), work)
+        for label, xbar in cases.items():
+            res = modulate(xbar, work)
+            _assert_same_bits(res, modulate(xbar, None))
+        # The workspace now holds another call's output.
+        with pytest.raises(RuntimeError, match="changed"):
+            stale.integrator_trace
 
 
 @settings(max_examples=40, deadline=None)

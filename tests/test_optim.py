@@ -450,3 +450,14 @@ class TestStacking:
         rng = np.random.default_rng(15)
         z = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
         np.testing.assert_array_equal(unstack_complex(stack_complex(z)), z)
+
+    def test_unstack_keeps_the_bits_of_the_sum(self):
+        x = np.random.default_rng(16).normal(size=(100, 512))
+        want = x[..., :256] + 1j * x[..., 256:]
+        assert unstack_complex(x).tobytes() == want.tobytes()
+
+    def test_step_norm_keeps_the_bits_of_linalg_norm(self):
+        # The APG stopping test takes the step's 2-norm as below.
+        d = np.random.default_rng(17).normal(size=(128, 600))
+        assert (np.sqrt(np.add.reduce(d * d, axis=-1)).tobytes()
+                == np.linalg.norm(d, axis=-1).tobytes())
