@@ -164,8 +164,8 @@ class Workspace:
     its output (``"x"``) at full size and its row-block scratch (``"b"``,
     ``"q"``), at most 128 KiB each once the input exceeds 1 MiB.  A
     result's traces are replayed from the call's inputs, which may sit in
-    the workspace (the precoder's ``"xbar"``, the ``"dither"`` copy), so
-    read them before the workspace's next use.
+    the workspace (the precoder's ``"xbar"``, the dither's ``"uniform"``
+    draw), so read them before the workspace's next use.
     """
 
     def __init__(self):
@@ -418,7 +418,8 @@ def sd_dithered(xbar, dither: DitherSpec,
     """Basic modulator with uniform dither added at the quantizer input.
 
     ``level == 0`` reproduces :func:`sd_basic` bit for bit.  ``work`` holds
-    the result's arrays and the dither (see the module docstring).
+    the result's arrays and the dither's one trial-major draw, which the
+    recursion reads in place (see the module docstring).
     """
     xbar = np.asarray(xbar, dtype=complex)
     if work is None:
@@ -430,11 +431,9 @@ def sd_dithered(xbar, dither: DitherSpec,
                                   xbar.shape[1:] + (xbar.shape[0], 2), float))
     u *= dither.level - (-dither.level)
     u += -dither.level
-    # Antenna-major, like the recursion reads it.
-    d = work.array("dither", xbar.shape)
-    np.copyto(d, np.moveaxis(u.view(complex)[..., 0], -1, 0))
-    return _run(xbar, 1.0, dither=d, overload_limit=2.0 + dither.level,
-                work=work)
+    # The recursion reads the draw in place, through an antenna-major view.
+    return _run(xbar, 1.0, dither=np.moveaxis(u.view(complex)[..., 0], -1, 0),
+                overload_limit=2.0 + dither.level, work=work)
 
 
 def sd_angle_steered(xbar, phi: float,

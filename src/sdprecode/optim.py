@@ -140,7 +140,6 @@ class DualApgResult:
     multipliers: np.ndarray
     x: np.ndarray
     dual_value: np.ndarray
-    primal_value: np.ndarray   # regularized primal objective at the recovered x
     gap: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
@@ -407,7 +406,7 @@ def dual_apg(problem: MinimaxProblem, params: ApgParams) -> DualApgResult:
     g_val = _dual_value(y, tau)
     primal = minimax_value(problem, x) + 0.5 * tau * (x * x).sum(axis=-1)
     return DualApgResult(multipliers=lam, x=x, dual_value=g_val,
-                         primal_value=primal, gap=primal - g_val,
+                         gap=primal - g_val,
                          iterations=iterations, converged=converged,
                          restarts=restarts, lp_bound=_lp_bound(y))
 

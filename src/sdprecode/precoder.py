@@ -104,8 +104,9 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
     for the feedback rotation ``phi = channel.phase_step(d/lambda, angle)``,
     which nulls the shaped quantization error along the user's phase
     progression; the plain design is ``phi = 0``.  ``metadata`` carries ``phi``
-    (feed it to ``modulator.sd_angle_steered``), ``amplitude`` and the
-    steering ``rows`` (``channel.steering_matrix``) it conjugates.  With
+    (feed it to ``modulator.sd_angle_steered``) and the steering ``rows``
+    (``channel.steering_matrix``) it conjugates; ``iq_bound`` is the
+    amplitude.  With
     ``work``, ``xbar`` is written into its ``"xbar"`` buffer (see
     :class:`modulator.Workspace`).
     """
@@ -125,7 +126,7 @@ def mrt_arrays(geometry: ArrayGeometry, angles, gains, symbols,
         xbar=xbar,
         gains=np.broadcast_to(coherent, xbar.shape[1:])[..., None],
         iq_bound=amp,
-        metadata={"phi": phi, "amplitude": amp, "rows": rows},
+        metadata={"phi": phi, "rows": rows},
     )
 
 
@@ -178,8 +179,8 @@ def mrt_generalized(gains, symbols,
     the conjugate gain, scaled so its dominant rail uses the antenna's safe
     amplitude ``A_n``.  For symbols off the rail axes that scaling can spill
     the weaker rail slightly past ``A_n``; offending antennas are rescaled
-    by ``max/(max+min)`` of their rail magnitudes (which restores the bound
-    for any unit-peak symbol) and flagged in the metadata mask ``rescaled``.
+    by ``max/(max+min)`` of their rail magnitudes, which restores the bound
+    for any unit-peak symbol.
 
     ``amplitudes`` overrides the safe profile, e.g. all ones for the
     unquantized benchmark or for deliberately overloaded runs.  ``work``
@@ -210,7 +211,6 @@ def mrt_generalized(gains, symbols,
         xbar=xbar,
         gains=coherent.sum(axis=0)[..., None],
         iq_bound=amp,
-        metadata={"rescaled": spill},
     )
 
 
@@ -233,12 +233,6 @@ def _scene_arrays(scene: MultiUserScene):
                          scene.noise_variance)
 
 
-# Scenes whose steering rows the zero-forcing back-projection rebuilds at
-# once for T > 1 (T = 1 rebuilds none): 3 MiB at K = 24, N = 512, instead
-# of the whole chunk's stack.
-_ROWS_SLICE = 16
-
-
 def _zf_targets(tables, gains, noise_std, symbols) -> np.ndarray:
     """Interference-free directions ``(..., N, T)``: pseudo-inverse applied to
     the weighted symbols, solved through the K x K steering Gram matrix
@@ -247,10 +241,9 @@ def _zf_targets(tables, gains, noise_std, symbols) -> np.ndarray:
     At T = 1 the back-projection ``S^H y`` factors over the tables like
     ``channel.steering_product``: ``coarse^T (conj(y) * fine)`` is the
     ``(N/L, L)`` block of ``conj(S^H y)``, one batched product with no
-    rows.  For T > 1 it is taken as ``conj(y^H S)`` against rows rebuilt
-    from ``tables`` for ``_ROWS_SLICE`` trials at a time, the same
-    per-trial products, and so the same bits, as one product against the
-    whole stack; there that is faster than the factored form.
+    rows.  For T > 1 it is ``conj(y^H S)`` against the rows of the whole
+    given batch, built once from ``tables``; there that is faster than the
+    factored form, and the engine's byte-sized chunks bound the batch.
     """
     fine, coarse = tables
     n = fine.shape[-1] * coarse.shape[-1]
@@ -265,17 +258,7 @@ def _zf_targets(tables, gains, noise_std, symbols) -> np.ndarray:
         back = np.swapaxes(coarse, -1, -2) @ (np.conj(y) * fine)
         back = back.reshape(back.shape[:-2] + (n, 1))
         return _divide_by_real(np.conj(back, out=back), n, out=back)
-    yh = np.conj(y).swapaxes(-1, -2)
-    batch, (t_len, k) = yh.shape[:-2], yh.shape[-2:]
-    yh = yh.reshape(-1, t_len, k)
-    fine, coarse = (np.broadcast_to(a, batch + a.shape[-2:]).reshape(
-        (-1,) + a.shape[-2:]) for a in tables)
-    back = np.empty((len(yh), t_len, n), dtype=complex)
-    for lo in range(0, len(yh), _ROWS_SLICE):
-        sl = slice(lo, lo + _ROWS_SLICE)
-        np.matmul(yh[sl], steering_rows((fine[sl], coarse[sl])),
-                  out=back[sl])
-    back = back.reshape(batch + (t_len, n))
+    back = np.conj(y).swapaxes(-1, -2) @ steering_rows(tables)
     _divide_by_real(np.conj(back, out=back), n, out=back)
     return back.swapaxes(-1, -2)
 
@@ -299,9 +282,9 @@ def zf_arrays(tables, gains, noise_std, symbols) -> PrecodeOutput:
     ``tables`` are the users' ``(fine, coarse)`` phase tables
     (``channel.steering_tables``), ``(..., K, L)`` and ``(..., K, N/L)``:
     the Gram comes from them (``channel.steering_gram``), and so does the
-    back-projection, factored at T = 1 and against steering rows rebuilt a
-    few trials at a time for T > 1, so the ``(..., K, N)`` stack is never
-    held.  ``gains`` and ``noise_std`` are ``(..., K)``
+    back-projection: factored at T = 1, with no ``(..., K, N)`` stack, and
+    for T > 1 against the batch's steering rows, built once (the engine's
+    chunks bound that batch).  ``gains`` and ``noise_std`` are ``(..., K)``
     and ``symbols`` is ``(..., K, T)``.
     Nulls inter-user interference and weights each user by its own noise
     standard deviation, so every user lands at the same effective SNR
@@ -507,8 +490,9 @@ def slp_arrays(tables, gains, noise_std, symbols, order: int,
     del rows
 
     res = optim.dual_apg(problem, params or optim.ApgParams())
-    objective = optim.minimax_value(problem, res.x)
-    first, second = np.split(problem.rmatvec(res.x), 2, axis=-1)
+    values = problem.rmatvec(res.x)
+    objective = values.max(axis=-1)
+    first, second = np.split(values, 2, axis=-1)
     meta = dict(
         objective=objective,
         dual_value=res.dual_value,

@@ -275,7 +275,6 @@ _LAYOUT = (
     (None, "scheme", "scheme", str),
     (None, "modulator", "modulator", str),
     (None, "dither_level", "dither_level", _float),
-    (None, "amplitude_mode", "amplitude_mode", str),
     (None, "snr_db", "snr_db", _numbers),
     (None, "trials", "trials", _int),
     (None, "early_stop_errors", "early_stop_errors", _int),
@@ -306,7 +305,6 @@ class SimConfig:
     snr_db: Tuple[float, ...]
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     dither_level: float = 0.8
-    amplitude_mode: str = "safe"
     trials: int = 100_000
     early_stop_errors: int = 500
     block_length: int = 1
@@ -398,8 +396,6 @@ class SimConfig:
             _err(f"{path}.dither_level", "must be >= 0")
         if not math.isfinite(2.0 * self.dither_level):
             _err(f"{path}.dither_level", "2 * dither_level overflows a float")
-        if self.amplitude_mode not in (SimConfig.amplitude_mode, "unit"):
-            _err(f"{path}.amplitude_mode", "must be 'safe' or 'unit'")
         if not self.snr_db:
             _err(f"{path}.snr_db", "must be a non-empty list")
         try:

@@ -218,10 +218,10 @@ def _single_user_tx(cfg: SimConfig, const: Constellation, s_idx, channel,
     if isinstance(channel, CanonicalGains):
         h = CanonicalGains(channel.coefficients[:, sl],
                            channel.permutation[:, sl])
-        safe = cfg.modulator == "generalized" and cfg.amplitude_mode == "safe"
-        out = precoder.mrt_generalized(h, symbols,
-                                       amplitudes=None if safe else 1.0,
-                                       work=work)
+        out = precoder.mrt_generalized(
+            h, symbols,
+            amplitudes=None if cfg.modulator == "generalized" else 1.0,
+            work=work)
         x = _modulate(cfg, out.xbar, rng_dither, gains=h, work=work)
         return x, out.gains[:, 0], np.einsum("nb,nb->b", h.coefficients, x)
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_over_wavelength)

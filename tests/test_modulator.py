@@ -117,6 +117,16 @@ class TestDithered:
         with pytest.raises(ValueError):
             DitherSpec(level=math.nan)
 
+    def test_dither_is_read_in_place(self):
+        # The recursion reads the trial-major draw through an antenna-major
+        # view: at (256, 512) the workspace holds the draw, the output and
+        # one block of integrator rows (4.1 MiB), and no second dither copy.
+        work = Workspace()
+        xbar = _box_inputs(np.random.default_rng(10), 256, 512)
+        sd_dithered(xbar, DitherSpec(level=0.8, seed=2), work)
+        held = sum(buf.nbytes for buf in work._buffers.values())
+        assert held <= 4.2 * 2 ** 20
+
     @pytest.mark.parametrize("level", [0.0, 1e-300, 0.05, 0.3, 1.0 / 3.0,
                                        0.7, 2.5])
     def test_dither_is_generator_uniform_bit_for_bit(self, monkeypatch,

@@ -292,8 +292,8 @@ class TestZfFromTables:
     def _bits(x):
         return np.ascontiguousarray(x).view(np.uint64)
 
-    # The shipped zf_multiuser chunk, a zf_qam_block trial, a chunk that is
-    # not a multiple of the 16-scene row slice, and a prime N (L = 1).
+    # The shipped zf_multiuser chunk, a zf_qam_block trial, a chunk of odd
+    # width, and a prime N (L = 1).
     SHAPES = [(512, 24, 1, 128), (256, 16, 100, 1), (512, 24, 1, 37),
               (97, 5, 3, 8)]
 

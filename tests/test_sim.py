@@ -78,7 +78,7 @@ ROUND_TRIP_CASES = {
     },
     "iid_gaussian": {
         **_BASE, "scheme": "mrt_generalized", "modulator": "generalized",
-        "channel": {"model": "iid_gaussian"}, "amplitude_mode": "unit",
+        "channel": {"model": "iid_gaussian"},
         "spectrum": {"grid_deg": [-45, 45, 1], "trials": 7},
         "scatter": {"realizations": 9},
     },
